@@ -12,7 +12,6 @@ import math
 import re
 from dataclasses import dataclass
 from random import Random
-from typing import Union
 
 OPS = ("+", "-", "*", "/")
 VAR_NAMES = ("bw", "dl", "util", "threshold")
@@ -44,7 +43,9 @@ class BinOp:
     right: "Expr"
 
 
-Expr = Union[Const, Var, BinOp]
+# A PEP 604 union, not typing.Union: typing caches its unions, and through
+# the classes' methods the cache would keep every import of this module alive.
+Expr = Const | Var | BinOp
 
 
 @dataclass(frozen=True)

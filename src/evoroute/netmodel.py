@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import cached_property
+from operator import truediv
+from typing import Mapping, NamedTuple, Sequence
 
 
 class NetworkError(ValueError):
@@ -88,6 +91,17 @@ class Flow:
     path: tuple[int, ...]
 
 
+class LinkClasses(NamedTuple):
+    """Links grouped by their static (bw, dl) pair.
+
+    A named tuple, not a dataclass: a dataclass generates and compiles its
+    methods whenever the module is imported, several times the cost."""
+
+    pairs: tuple[tuple[float, float], ...]  # distinct pairs, in order of first appearance
+    of: tuple[int, ...]  # index into pairs, per link id
+    sizes: tuple[int, ...]  # number of links, per pair
+
+
 class Network:
     """A directed graph over dense integer node ids with dense link ids."""
 
@@ -108,6 +122,16 @@ class Network:
         self._out: list[list[Link]] = [[] for _ in range(n_nodes)]
         for link in self.links:
             self._out[link.src].append(link)
+        self.bws: tuple[float, ...] = tuple(link.bw for link in self.links)
+
+    @cached_property
+    def link_classes(self) -> LinkClasses:
+        """The links grouped by static (bw, dl); built on first use, since
+        only routing under a weight formula needs it."""
+        index: dict[tuple[float, float], int] = {}
+        of = tuple(index.setdefault((link.bw, link.dl), len(index)) for link in self.links)
+        counts = Counter(of)
+        return LinkClasses(tuple(index), of, tuple(counts[c] for c in range(len(index))))
 
     @property
     def nodes(self) -> range:
@@ -168,16 +192,27 @@ def link_utilization(thr: float, bw: float) -> float:
     return thr / bw
 
 
-def link_utilizations(
+def link_throughputs(
     network: Network, flows: Sequence[Flow], bandwidths: Mapping[int, float]
 ) -> list[float]:
-    """Per-link utilization fractions computed from the given flows."""
+    """Per-link throughput (Mbps): the bandwidths of the flows over each link,
+    summed in flow order."""
     thr = [0.0] * len(network.links)
     for f in flows:
         bd = bandwidths[f.request]
         for e in f.path:
             thr[e] += bd
-    return [link_utilization(t, link.bw) for t, link in zip(thr, network.links)]
+    return thr
+
+
+def link_utilizations(
+    network: Network, flows: Sequence[Flow], bandwidths: Mapping[int, float]
+) -> list[float]:
+    """Per-link utilization fractions computed from the given flows.
+
+    Every link's bandwidth is positive (``Link`` checks it), so this is
+    ``link_utilization`` for each link without the per-link check."""
+    return list(map(truediv, link_throughputs(network, flows, bandwidths), network.bws))
 
 
 def make_snapshot(
@@ -186,11 +221,34 @@ def make_snapshot(
     return Snapshot(t, tuple(flows), tuple(link_utilizations(network, flows, bandwidths)))
 
 
+def _check_weights(network: Network, weights: Mapping[int, int] | Sequence[int]) -> None:
+    """Every link needs a weight of at least 1.
+
+    A sequence is indexed by link id and must cover exactly the network's
+    links; it is checked with ``len`` and ``min`` rather than a loop in
+    Python. A mapping is keyed by link id and may hold extra keys."""
+    if isinstance(weights, Mapping):
+        for link in network.links:
+            if link.id not in weights:
+                raise NetworkError(f"weight missing for link {link.id}")
+            if weights[link.id] < 1:
+                raise NetworkError(f"weight for link {link.id} must be >= 1")
+        return
+    n_links = len(network.links)
+    if len(weights) < n_links:
+        raise NetworkError(f"weight missing for link {len(weights)}")
+    if len(weights) > n_links:
+        raise NetworkError(f"{len(weights)} weights for {n_links} links")
+    if weights and min(weights) < 1:
+        raise NetworkError(f"weight for link {weights.index(min(weights))} must be >= 1")
+
+
 def shortest_weighted_path(
-    network: Network, weights: Mapping[int, int], src: int, dst: int
+    network: Network, weights: Mapping[int, int] | Sequence[int], src: int, dst: int
 ) -> tuple[int, ...] | None:
     """Minimum-total-weight directed path from src to dst as a tuple of link ids.
 
+    ``weights`` is a sequence indexed by link id or a mapping keyed by it.
     Among equal-cost paths, returns the one with the lexicographically
     smallest node-id sequence, which makes routing deterministic. Returns
     None when dst is unreachable.
@@ -199,16 +257,15 @@ def shortest_weighted_path(
         raise NetworkError("src and dst must differ")
     if not (0 <= src < network.n_nodes and 0 <= dst < network.n_nodes):
         raise NetworkError(f"node out of range: src={src} dst={dst}")
-    for link in network.links:
-        if link.id not in weights:
-            raise NetworkError(f"weight missing for link {link.id}")
-        if weights[link.id] < 1:
-            raise NetworkError(f"weight for link {link.id} must be >= 1")
+    _check_weights(network, weights)
 
     # Heap entries carry the node sequence so that ties in distance resolve
     # to the lexicographically smallest path. Weights >= 1 keep Dijkstra's
     # settle-once property valid for the composite (dist, nodes) order.
     heap: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(0, (src,), ())]
+    # the smallest (dist, nodes) pushed so far per node: an entry that does
+    # not beat it would only be popped after its node is settled
+    pushed: dict[int, tuple[int, tuple[int, ...]]] = {}
     settled: set[int] = set()
     while heap:
         dist, nodes, path = heapq.heappop(heap)
@@ -219,11 +276,18 @@ def shortest_weighted_path(
         if u == dst:
             return path
         for link in network.out_links(u):
-            if link.dst in settled:
+            v = link.dst
+            if v in settled:
                 continue
-            heapq.heappush(
-                heap, (dist + weights[link.id], nodes + (link.dst,), path + (link.id,))
-            )
+            d = dist + weights[link.id]
+            rival = pushed.get(v)
+            if rival is not None and d > rival[0]:
+                continue
+            entry = (d, nodes + (v,))
+            if rival is not None and entry >= rival:
+                continue
+            pushed[v] = entry
+            heapq.heappush(heap, (d, entry[1], path + (link.id,)))
     return None
 
 

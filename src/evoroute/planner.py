@@ -3,9 +3,11 @@ three-part fitness, and the generational search over weight formulas."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import compress
 from random import Random
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .expr import (
     DEFAULT_CONST_MAX,
@@ -112,15 +114,47 @@ def find_flows_causing_congestion(
     return removed
 
 
-def _link_weights(
-    network: Network, util: Sequence[float], expr: Expr, threshold: float
-) -> dict[int, int]:
-    return {
-        link.id: to_weight(
-            eval_expr(expr, EvalContext(link.bw, link.dl, util[link.id], threshold))
-        )
-        for link in network.links
-    }
+Weigher = Callable[[float, float, float], int]
+
+
+def formula_weigher(expr: Expr, threshold: float) -> Weigher:
+    """The weight the formula gives a link of static (bw, dl) at a utilization.
+
+    Evaluation is pure, so results are memoised on the exact (bw, dl, util)
+    input and each distinct input is evaluated once. Use one weigher per
+    weights computation: the memo lives as long as the weigher.
+    """
+    memo: dict[tuple[float, float, float], int] = {}
+
+    def weigh(bw: float, dl: float, util: float) -> int:
+        key = (bw, dl, util)
+        w = memo.get(key)
+        if w is None:
+            w = memo[key] = to_weight(eval_expr(expr, EvalContext(bw, dl, util, threshold)))
+        return w
+
+    return weigh
+
+
+def link_weights(network: Network, util: Sequence[float], weigh: Weigher) -> list[int]:
+    """Every link's weight under a weigher, indexed by link id.
+
+    Idle links (util exactly 0) take the weight of their (bw, dl) class at
+    util 0, evaluated once per class that has an idle link; loaded links are
+    weighed one by one. On a uniform graph that is one evaluation plus one
+    per distinct loaded link.
+    """
+    classes = network.link_classes
+    loaded = list(compress(range(len(util)), util))
+    busy = Counter(map(classes.of.__getitem__, loaded))
+    full = {c for c, n in busy.items() if n == classes.sizes[c]}
+    # a class whose links are all loaded gets a placeholder, overwritten below
+    idle = [0 if c in full else weigh(bw, dl, 0.0) for c, (bw, dl) in enumerate(classes.pairs)]
+    weights = list(map(idle.__getitem__, classes.of))
+    links = network.links
+    for e in loaded:
+        weights[e] = weigh(links[e].bw, links[e].dl, util[e])
+    return weights
 
 
 def compute_surrogate(
@@ -137,8 +171,9 @@ def compute_surrogate(
     weights of the links on the new path are refreshed. A flow whose
     destination is unreachable keeps its original path.
     """
-    util = list(link_utilizations(network, keep_flows, bandwidths))
-    weights = _link_weights(network, util, expr, threshold)
+    util = link_utilizations(network, keep_flows, bandwidths)
+    weigh = formula_weigher(expr, threshold)
+    weights = link_weights(network, util, weigh)
     rerouted: list[Flow] = []
     for f in bad_flows:
         src, dst = network.path_endpoints(f.path)
@@ -149,9 +184,7 @@ def compute_surrogate(
         for e in path:
             link = network.link(e)
             util[e] += bd / link.bw
-            weights[e] = to_weight(
-                eval_expr(expr, EvalContext(link.bw, link.dl, util[e], threshold))
-            )
+            weights[e] = weigh(link.bw, link.dl, util[e])
         rerouted.append(Flow(f.request, tuple(path)))
     return rerouted + list(keep_flows)
 
@@ -243,11 +276,24 @@ def gen_plan(
     ]
     initial_formulas = [format_expr(ind.expr) for ind in population]
 
+    # (fitness, surrogate flows) per formula already scored in this call;
+    # scoring draws no random numbers, so skipping a repeat leaves the RNG
+    # stream as it was. Trees compare by value, so the key is exact up to
+    # the sign of a zero constant (Const(0.0) == Const(-0.0)), which cannot
+    # change a weight: a signed zero only changes the sign of zero results,
+    # division by a zero of either sign is protected, and to_weight takes
+    # the absolute value.
+    scored: dict[Expr, tuple[float, list[Flow]]] = {}
+
     def assess(ind: Individual) -> None:
-        flows = compute_surrogate(
-            network, keep_flows, bad_flows, bandwidths, ind.expr, config.threshold
-        )
-        ind.fitness = evaluate_plan(network, flows, old_flows, bandwidths, config.threshold)
+        hit = scored.get(ind.expr)
+        if hit is None:
+            flows = compute_surrogate(
+                network, keep_flows, bad_flows, bandwidths, ind.expr, config.threshold
+            )
+            fitness = evaluate_plan(network, flows, old_flows, bandwidths, config.threshold)
+            hit = scored[ind.expr] = (fitness, flows)
+        ind.fitness = hit[0]
 
     best: Individual | None = None
     for ind in population:
@@ -269,7 +315,4 @@ def gen_plan(
     retained = [
         ind.copy() for ind in sorted(population, key=lambda i: i.fitness)
     ][: config.population_size // 2]
-    best_flows = compute_surrogate(
-        network, keep_flows, bad_flows, bandwidths, best.expr, config.threshold
-    )
-    return PlanResult(best, best_flows, retained, generations, history, initial_formulas)
+    return PlanResult(best, scored[best.expr][1], retained, generations, history, initial_formulas)

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Mapping, Sequence
 
-from .expr import EvalContext, eval_expr, to_weight
 from .loop import AdaptationState, KnowledgeBase, adapt_step, detect, import_kb
 from .netmodel import (
     ConfigError,
@@ -17,6 +16,7 @@ from .netmodel import (
     Network,
     Request,
     full_topology,
+    link_throughputs,
     link_utilizations,
     load_network,
     make_snapshot,
@@ -24,7 +24,7 @@ from .netmodel import (
     shortest_weighted_path,
     unit_weights,
 )
-from .planner import GpConfig
+from .planner import GpConfig, formula_weigher, link_weights
 
 ROUTERS = ("unit-ospf", "inverse-bw-ospf", "genadapt", "genadapt-reuse")
 
@@ -85,20 +85,9 @@ def inverse_bw_weights(network: Network, reference: float = INVERSE_BW_REFERENCE
     return {link.id: max(1, math.floor(reference / link.bw)) for link in network.links}
 
 
-def _formula_weights(
-    network: Network, util: Sequence[float], expr, threshold: float
-) -> dict[int, int]:
-    return {
-        link.id: to_weight(
-            eval_expr(expr, EvalContext(link.bw, link.dl, util[link.id], threshold))
-        )
-        for link in network.links
-    }
-
-
 def route_request(
     network: Network,
-    weights: Mapping[int, int],
+    weights: Mapping[int, int] | Sequence[int],
     request: Request,
 ) -> Flow:
     """Create the flow for a newly arrived request under the given weights."""
@@ -144,7 +133,8 @@ def run_scenario(
             kb = KnowledgeBase()
 
     adaptive = router in ("genadapt", "genadapt-reuse")
-    baseline = inverse_bw_weights(network) if router == "inverse-bw-ospf" else unit_weights(network)
+    static = inverse_bw_weights(network) if router == "inverse-bw-ospf" else unit_weights(network)
+    baseline = [static[link.id] for link in network.links]
 
     rng = Random(seed)
     state = AdaptationState()
@@ -164,7 +154,7 @@ def run_scenario(
             req = pending.pop(0)
             if state.active_expr is not None:
                 util = link_utilizations(network, list(flows.values()), bandwidths)
-                weights = _formula_weights(network, util, state.active_expr, threshold)
+                weights = link_weights(network, util, formula_weigher(state.active_expr, threshold))
             else:
                 weights = baseline
             flows[req.id] = route_request(network, weights, req)
@@ -186,13 +176,9 @@ def run_scenario(
             in_congestion_run = False
 
         # loss proxy accounts the state that persists through this tick
-        thr = [0.0] * len(network.links)
-        for f in flows.values():
-            for e in f.path:
-                thr[e] += bandwidths[f.request]
-        excess_total += sum(
-            max(0.0, thr[link.id] - link.bw) for link in network.links
-        )
+        thr = link_throughputs(network, list(flows.values()), bandwidths)
+        # links at or under capacity add nothing to the excess
+        excess_total += sum(t - bw for t, bw in zip(thr, network.bws) if t > bw)
         demand_total += sum(bandwidths.values())
 
         trace.append(

@@ -1,4 +1,8 @@
+import gc
+import importlib
 import random
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -164,3 +168,22 @@ class TestTextFormat:
     def test_missing_operator(self):
         with pytest.raises(ParseError):
             parse_expr("(util 1)")
+
+
+def test_dropped_import_is_freed():
+    """A fresh import of the module, once dropped, leaves nothing alive: no
+    process-wide cache holds its classes (and through their methods, the
+    module's globals)."""
+    ours = [k for k in sys.modules if k == "evoroute" or k.startswith("evoroute.")]
+    saved = {k: sys.modules.pop(k) for k in ours}
+    try:
+        fresh = importlib.import_module("evoroute.expr")
+        fresh_const = weakref.ref(fresh.Const)
+        assert fresh.Const is not Const
+        del fresh
+    finally:
+        for k in [k for k in sys.modules if k == "evoroute" or k.startswith("evoroute.")]:
+            del sys.modules[k]
+        sys.modules.update(saved)
+    gc.collect()
+    assert fresh_const() is None

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evoroute.netmodel import (
     ConfigError,
@@ -10,6 +12,7 @@ from evoroute.netmodel import (
     NetworkError,
     Request,
     full_topology,
+    link_throughputs,
     link_utilization,
     link_utilizations,
     load_network,
@@ -83,6 +86,16 @@ class TestBasics:
         with pytest.raises(NetworkError):
             Network(2, [Link(1, 0, 1, 100, 25)])
 
+    def test_link_classes(self):
+        links = [Link(0, 0, 1, 100.0, 25.0), Link(1, 1, 0, 50.0, 25.0), Link(2, 1, 2, 100.0, 25.0)]
+        net = Network(3, links)
+        classes = net.link_classes
+        assert classes.pairs == ((100.0, 25.0), (50.0, 25.0))
+        assert classes.of == (0, 1, 0)
+        assert classes.sizes == (2, 1)
+        assert net.link_classes is classes
+        assert net.bws == (100.0, 50.0, 100.0)
+
     def test_flow_validation(self, fig1):
         fig1.validate_flow(Flow(0, (2, 4)))
         with pytest.raises(NetworkError):
@@ -113,6 +126,13 @@ class TestThroughputUtilization:
         with pytest.raises(NetworkError):
             link_utilization(10, 0)
 
+    def test_link_throughputs_match_per_link_throughput(self, fig1):
+        flows = [Flow(0, (0,)), Flow(1, (2, 4)), Flow(2, (0,))]
+        bw = {0: 30.0, 1: 45.0, 2: 12.5}
+        thr = link_throughputs(fig1, flows, bw)
+        assert thr == [throughput(fig1, flows, bw, link.id) for link in fig1.links]
+        assert link_utilizations(fig1, flows, bw) == [t / link.bw for t, link in zip(thr, fig1.links)]
+
     def test_snapshot_roundtrip(self, fig1):
         flows = [Flow(0, (0,)), Flow(1, (2, 4))]
         bw = {0: 30.0, 1: 45.0}
@@ -141,6 +161,32 @@ class TestShortestPath:
         with pytest.raises(NetworkError):
             shortest_weighted_path(fig1, {0: 1}, 0, 1)
 
+    def test_list_weights(self, fig1):
+        weights = [1] * len(fig1.links)
+        assert shortest_weighted_path(fig1, weights, 0, 1) == (0,)
+        weights[0] = 4
+        assert shortest_weighted_path(fig1, weights, 0, 1) == (2, 4)
+
+    def test_short_list_rejected(self, fig1):
+        with pytest.raises(NetworkError, match="missing for link 11"):
+            shortest_weighted_path(fig1, [1] * 11, 0, 1)
+
+    def test_long_list_rejected(self, fig1):
+        with pytest.raises(NetworkError):
+            shortest_weighted_path(fig1, [1] * 13, 0, 1)
+
+    def test_zero_weight_in_list_rejected(self, fig1):
+        weights = [1] * 12
+        weights[5] = 0
+        with pytest.raises(NetworkError, match="link 5 must be >= 1"):
+            shortest_weighted_path(fig1, weights, 0, 1)
+
+    def test_zero_weight_in_mapping_rejected(self, fig1):
+        weights = unit_weights(fig1)
+        weights[5] = 0
+        with pytest.raises(NetworkError, match="link 5 must be >= 1"):
+            shortest_weighted_path(fig1, weights, 0, 1)
+
     def test_deterministic_tie_break(self):
         net = full_topology(4)
         weights = unit_weights(net)
@@ -166,9 +212,31 @@ class TestShortestPath:
             net = Network(n, links)
             weights = {l.id: rng.randint(1, 9) for l in net.links}
             src, dst = rng.sample(range(n), 2)
-            assert shortest_weighted_path(net, weights, src, dst) == brute_force_shortest(
-                net, weights, src, dst
-            )
+            expected = brute_force_shortest(net, weights, src, dst)
+            assert shortest_weighted_path(net, weights, src, dst) == expected
+            assert shortest_weighted_path(net, list(weights.values()), src, dst) == expected
+
+
+@st.composite
+def routing_cases(draw):
+    """A random directed graph with small weights, so that equal-cost paths
+    are common, and a (src, dst) pair."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    net = Network(n, [Link(i, s, d, 100, 25) for i, (s, d) in enumerate(chosen)])
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(chosen), max_size=len(chosen)))
+    src, dst = draw(st.sampled_from(pairs))
+    return net, weights, src, dst
+
+
+@settings(max_examples=300, deadline=None)
+@given(routing_cases())
+def test_shortest_path_matches_brute_force(case):
+    net, weights, src, dst = case
+    expected = brute_force_shortest(net, weights, src, dst)
+    assert shortest_weighted_path(net, weights, src, dst) == expected
+    assert shortest_weighted_path(net, dict(enumerate(weights)), src, dst) == expected
 
 
 class TestTopologies:

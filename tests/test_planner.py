@@ -1,11 +1,17 @@
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evoroute.expr import format_expr, parse_expr
+from evoroute import planner
+from evoroute.expr import EvalContext, eval_expr, format_expr, grow_random, parse_expr, to_weight
 from evoroute.netmodel import (
     Flow,
+    Link,
+    Network,
     NetworkError,
     full_topology,
     link_utilizations,
@@ -17,8 +23,10 @@ from evoroute.planner import (
     compute_surrogate,
     evaluate_plan,
     find_flows_causing_congestion,
+    formula_weigher,
     gen_plan,
     lcs_distance,
+    link_weights,
     normalize,
     tournament_select,
 )
@@ -264,3 +272,133 @@ class TestGenPlan:
         )
         assert len(result.initial_formulas) == 10
         assert result.initial_formulas[:5] == [format_expr(example_expr)] * 5
+
+
+def reference_weights(network, util, expr, threshold):
+    """The formula evaluated afresh for every link."""
+    return [
+        to_weight(eval_expr(expr, EvalContext(link.bw, link.dl, util[link.id], threshold)))
+        for link in network.links
+    ]
+
+
+@st.composite
+def weighted_networks(draw):
+    """A complete graph whose links are uniform, drawn from a few (bw, dl)
+    classes, or each drawn apart; utilizations are 0 or drawn from a few
+    values, so that inputs repeat, or all drawn apart."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    n_links = n * (n - 1)
+    kind = draw(st.sampled_from(["uniform", "classes", "heterogeneous"]))
+    if kind == "uniform":
+        statics = [(100.0, 25.0)] * n_links
+    elif kind == "classes":
+        pool = [(100.0, 25.0), (50.0, 25.0), (100.0, 5.0)]
+        statics = draw(st.lists(st.sampled_from(pool), min_size=n_links, max_size=n_links))
+    else:
+        value = st.floats(min_value=0.5, max_value=500.0)
+        statics = draw(st.lists(st.tuples(value, value), min_size=n_links, max_size=n_links))
+    pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+    net = Network(n, [Link(i, s, d, bw, dl) for i, ((s, d), (bw, dl)) in enumerate(zip(pairs, statics))])
+    loads = draw(st.sampled_from(["idle", "repeated", "distinct"]))
+    if loads == "idle":
+        util = [0.0] * n_links
+    elif loads == "repeated":
+        util = draw(st.lists(st.sampled_from([0.0, 0.3, 0.9, 1.5]), min_size=n_links, max_size=n_links))
+    else:
+        util = draw(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=n_links, max_size=n_links))
+    return net, util
+
+
+class TestLinkWeights:
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_networks(), st.integers(min_value=0, max_value=10**9), st.integers(1, 6))
+    def test_equals_per_link_evaluation(self, net_util, seed, max_depth):
+        net, util = net_util
+        expr = grow_random(max_depth, random.Random(seed))
+        got = link_weights(net, util, formula_weigher(expr, 0.8))
+        assert got == reference_weights(net, util, expr, 0.8)
+        assert all(type(w) is int for w in got)
+
+    def test_one_evaluation_per_distinct_input(self, example_expr, monkeypatch):
+        inputs = []
+        real = planner.eval_expr
+
+        def counting(expr, ctx):
+            inputs.append((ctx.bw, ctx.dl, ctx.util))
+            return real(expr, ctx)
+
+        monkeypatch.setattr(planner, "eval_expr", counting)
+        net = full_topology(5)  # 20 links, one (bw, dl) class
+        util = [0.0] * 20
+        util[3] = util[7] = 0.5
+        util[9] = 0.25
+        link_weights(net, util, formula_weigher(example_expr, 0.8))
+        assert sorted(inputs) == [(100.0, 25.0, 0.0), (100.0, 25.0, 0.25), (100.0, 25.0, 0.5)]
+
+        inputs.clear()  # no idle link: the class is never weighed at util 0
+        link_weights(net, [0.5] * 20, formula_weigher(example_expr, 0.8))
+        assert inputs == [(100.0, 25.0, 0.5)]
+
+
+class TestFitnessCache:
+    def test_surrogate_once_per_distinct_formula(self, fig1, monkeypatch):
+        calls = Counter()
+        real = planner.compute_surrogate
+
+        def counting(network, keep, bad, bandwidths, expr, threshold):
+            calls[format_expr(expr)] += 1
+            return real(network, keep, bad, bandwidths, expr, threshold)
+
+        monkeypatch.setattr(planner, "compute_surrogate", counting)
+        # seed 2 searches for 19 generations, so parents recur
+        result = gen_plan(
+            fig1, three_direct_flows(), BW3, [], GpConfig(max_generations=300), random.Random(2)
+        )
+        assert result.generations == 19
+        # also covers the best formula: its final flows come from the cache
+        assert calls and max(calls.values()) == 1
+        assert format_expr(result.best.expr) in calls
+
+
+# gen_plan on four flows over link 0 (two must move), GpConfig(max_generations=60):
+# (topology, seed) -> (best formula, best fitness, generations, best_history, final paths)
+_RANDOM_FORMULA = (
+    "((((((((util + (((45.79542036471842 * 54.43194976514813) / util) * dl)) / (((bw + "
+    "(util - threshold)) / (threshold + 16.567497287207978)) - bw)) + util) * ((util / util) "
+    "+ 83.74483937438902)) - 40.181682221254356) + (71.73241433110373 * threshold)) - (bw - "
+    "((util - (util + (((bw * 4.229760200279409) - dl) + ((((((threshold - bw) * dl) / dl) / "
+    "((bw + threshold) * util)) + (util - (threshold + (dl * 9.94003382387011)))) * (dl / "
+    "69.95952911506184))))) * dl))) - bw)"
+)
+_STUCK = 2.5348837209302326
+PINNED_PLANS = {
+    ("mnp5", 0): (_RANDOM_FORMULA, 1.8693181818181817, 0, [1.8693181818181817],
+                  [(0, (0,)), (1, (6, 8, 10)), (2, (0,)), (3, (2, 4))]),
+    ("mnp5", 1): ("((dl / threshold) / util)", 1.8693181818181817, 6, [_STUCK] * 6 + [1.8693181818181817],
+                  [(0, (0,)), (1, (2, 4)), (2, (0,)), (3, (6, 8, 10))]),
+    ("mnp5", 2): ("((dl / threshold) * util)", 1.8693181818181817, 19, [_STUCK] * 19 + [1.8693181818181817],
+                  [(0, (2, 4)), (1, (6, 8, 10)), (2, (0,)), (3, (0,))]),
+    ("full10", 0): (_RANDOM_FORMULA, 1.8505203405865656, 0, [1.8505203405865656],
+                    [(0, (0,)), (1, (2, 28)), (2, (0,)), (3, (1, 19))]),
+    ("full10", 1): ("((dl / threshold) / util)", 1.8505203405865656, 6, [_STUCK] * 6 + [1.8505203405865656],
+                    [(0, (0,)), (1, (1, 19)), (2, (0,)), (3, (2, 28))]),
+    ("full10", 2): ("((dl / threshold) * util)", 1.8505203405865656, 19, [_STUCK] * 19 + [1.8505203405865656],
+                    [(0, (1, 19)), (1, (2, 28)), (2, (0,)), (3, (0,))]),
+}
+
+
+@pytest.mark.parametrize("topology,seed", sorted(PINNED_PLANS))
+def test_gen_plan_pinned(topology, seed):
+    net = mnp_topology(5) if topology == "mnp5" else full_topology(10)
+    flows = [Flow(r, (0,)) for r in range(4)]
+    bandwidths = {0: 30.0, 1: 30.0, 2: 30.0, 3: 25.0}
+    result = gen_plan(net, flows, bandwidths, [], GpConfig(max_generations=60), random.Random(seed))
+    got = (
+        format_expr(result.best.expr),
+        result.best.fitness,
+        result.generations,
+        result.best_history,
+        sorted((f.request, f.path) for f in result.new_flows),
+    )
+    assert got == PINNED_PLANS[(topology, seed)]
