@@ -67,6 +67,9 @@ class Request:
             raise NetworkError(f"request {self.id}: empty bandwidth profile")
         if any(bd < 0 for _, bd in self.profile):
             raise NetworkError(f"request {self.id}: negative bandwidth")
+        starts = [start for start, _ in self.profile]
+        if not all(a < b for a, b in zip(starts, starts[1:])):
+            raise NetworkError(f"request {self.id}: profile start times must be strictly increasing")
 
     @classmethod
     def constant(cls, id: int, s: int, d: int, arrival: float, bd: float) -> "Request":
@@ -119,9 +122,6 @@ class Network:
             if (link.src, link.dst) in seen_pairs:
                 raise NetworkError(f"duplicate link for node pair {link.src}->{link.dst}")
             seen_pairs.add((link.src, link.dst))
-        self._out: list[list[Link]] = [[] for _ in range(n_nodes)]
-        for link in self.links:
-            self._out[link.src].append(link)
         self.bws: tuple[float, ...] = tuple(link.bw for link in self.links)
 
     @cached_property
@@ -133,6 +133,26 @@ class Network:
         counts = Counter(of)
         return LinkClasses(tuple(index), of, tuple(counts[c] for c in range(len(index))))
 
+    @cached_property
+    def in_links(self) -> tuple[list[tuple[int, int]], ...]:
+        """Per node, the (link id, source node) of every link into it;
+        built on first use, like ``link_classes``."""
+        into: tuple[list[tuple[int, int]], ...] = tuple([] for _ in range(self.n_nodes))
+        for link in self.links:
+            into[link.dst].append((link.id, link.src))
+        return into
+
+    @cached_property
+    def out_by_dst(self) -> tuple[list[tuple[int, int]], ...]:
+        """Per node, the (destination node, link id) of every link out of
+        it, sorted by destination; built on first use."""
+        out: tuple[list[tuple[int, int]], ...] = tuple([] for _ in range(self.n_nodes))
+        for link in self.links:
+            out[link.src].append((link.dst, link.id))
+        for pairs in out:
+            pairs.sort()
+        return out
+
     @property
     def nodes(self) -> range:
         return range(self.n_nodes)
@@ -143,7 +163,7 @@ class Network:
         return self.links[link_id]
 
     def out_links(self, node: int) -> list[Link]:
-        return self._out[node]
+        return [self.links[e] for _, e in self.out_by_dst[node]]
 
     def validate_flow(self, flow: Flow) -> None:
         """Check that a flow path is a directed simple path in this network."""
@@ -259,36 +279,40 @@ def shortest_weighted_path(
         raise NetworkError(f"node out of range: src={src} dst={dst}")
     _check_weights(network, weights)
 
-    # Heap entries carry the node sequence so that ties in distance resolve
-    # to the lexicographically smallest path. Weights >= 1 keep Dijkstra's
-    # settle-once property valid for the composite (dist, nodes) order.
-    heap: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(0, (src,), ())]
-    # the smallest (dist, nodes) pushed so far per node: an entry that does
-    # not beat it would only be popped after its node is settled
-    pushed: dict[int, tuple[int, tuple[int, ...]]] = {}
-    settled: set[int] = set()
+    # Settle distances to dst over in-links, stopping once every node nearer
+    # to dst than src is settled; then walk from src, at each node taking
+    # the smallest-id neighbour that stays on a shortest path. The greedy
+    # walk yields the lexicographically smallest node sequence, and since
+    # weights are >= 1 the distance strictly falls at each step.
+    inf = math.inf
+    dist = [inf] * network.n_nodes
+    dist[dst] = 0
+    heap = [(0, dst)]
+    into = network.in_links
     while heap:
-        dist, nodes, path = heapq.heappop(heap)
-        u = nodes[-1]
-        if u in settled:
+        d, v = heapq.heappop(heap)
+        if d >= dist[src]:
+            break
+        if d > dist[v]:
             continue
-        settled.add(u)
-        if u == dst:
-            return path
-        for link in network.out_links(u):
-            v = link.dst
-            if v in settled:
-                continue
-            d = dist + weights[link.id]
-            rival = pushed.get(v)
-            if rival is not None and d > rival[0]:
-                continue
-            entry = (d, nodes + (v,))
-            if rival is not None and entry >= rival:
-                continue
-            pushed[v] = entry
-            heapq.heappush(heap, (d, entry[1], path + (link.id,)))
-    return None
+        for e, u in into[v]:
+            du = d + weights[e]
+            if du < dist[u]:
+                dist[u] = du
+                heapq.heappush(heap, (du, u))
+    if dist[src] == inf:
+        return None
+    path = []
+    u = src
+    out = network.out_by_dst
+    while u != dst:
+        du = dist[u]
+        for v, e in out[u]:
+            if dist[v] + weights[e] == du:
+                path.append(e)
+                u = v
+                break
+    return tuple(path)
 
 
 def full_topology(n: int, bw: float = 100.0, dl: float = 25.0) -> Network:

@@ -103,9 +103,10 @@ def find_flows_causing_congestion(
     removed: list[Flow] = []
     while True:
         util = link_utilizations(network, remaining, bandwidths)
-        worst = max(range(len(util)), key=lambda e: (util[e], -e), default=None)
-        if worst is None or util[worst] <= threshold:
+        peak = max(util, default=None)
+        if peak is None or peak <= threshold:
             break
+        worst = util.index(peak)  # the lowest id among the most loaded links
         carriers = [f for f in remaining if worst in f.path]
         assert carriers, "a loaded link must carry at least one flow"
         victim = carriers[rng.randrange(len(carriers))]
@@ -164,14 +165,16 @@ def compute_surrogate(
     bandwidths: Mapping[int, float],
     expr: Expr,
     threshold: float,
+    keep_util: Sequence[float] | None = None,
 ) -> list[Flow]:
     """Re-route the bad flows one by one under the candidate formula.
 
-    Utilization starts from the kept flows only; after each placement the
-    weights of the links on the new path are refreshed. A flow whose
+    Utilization starts from the kept flows only (``keep_util``, when the
+    caller has it already; it is copied, not changed); after each placement
+    the weights of the links on the new path are refreshed. A flow whose
     destination is unreachable keeps its original path.
     """
-    util = link_utilizations(network, keep_flows, bandwidths)
+    util = link_utilizations(network, keep_flows, bandwidths) if keep_util is None else list(keep_util)
     weigh = formula_weigher(expr, threshold)
     weights = link_weights(network, util, weigh)
     rerouted: list[Flow] = []
@@ -268,6 +271,7 @@ def gen_plan(
     bad_flows = find_flows_causing_congestion(network, old_flows, bandwidths, config.threshold, rng)
     bad_ids = {f.request for f in bad_flows}
     keep_flows = [f for f in old_flows if f.request not in bad_ids]
+    keep_util = link_utilizations(network, keep_flows, bandwidths)
 
     seeds = [Individual(ind.expr) for ind in best_sol[: config.population_size // 2]]
     population = seeds + [
@@ -289,7 +293,7 @@ def gen_plan(
         hit = scored.get(ind.expr)
         if hit is None:
             flows = compute_surrogate(
-                network, keep_flows, bad_flows, bandwidths, ind.expr, config.threshold
+                network, keep_flows, bad_flows, bandwidths, ind.expr, config.threshold, keep_util
             )
             fitness = evaluate_plan(network, flows, old_flows, bandwidths, config.threshold)
             hit = scored[ind.expr] = (fitness, flows)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from operator import sub
 from random import Random
 from typing import Mapping, Sequence
 
@@ -15,6 +16,7 @@ from .netmodel import (
     Flow,
     Network,
     Request,
+    Snapshot,
     full_topology,
     link_throughputs,
     link_utilizations,
@@ -146,26 +148,52 @@ def run_scenario(
     excess_total = 0.0
     demand_total = 0.0
 
+    # Per-link state is recomputed from scratch, and only on ticks where
+    # flows or demands may have changed: an arrival, a plan installed on the
+    # tick before, or a profile segment starting after its request arrived
+    # (profiles are sorted, so demand changes nowhere else). In between,
+    # the same floats carry over.
+    demand_ticks = {
+        math.ceil(start)
+        for r in scenario.requests
+        for start, _ in r.profile[1:]
+        if r.arrival < start < duration
+    }
+    bandwidths: dict[int, float] = {}
+    demand = 0.0
+    stale = True  # flows or demands changed since the last snapshot
+
     for t in range(duration):
-        bandwidths = {r.id: r.bd(t) for r in scenario.requests if r.arrival <= t}
+        demand_changed = t in demand_ticks
+        if demand_changed or (pending and pending[0].arrival <= t):
+            bandwidths = {r.id: r.bd(t) for r in scenario.requests if r.arrival <= t}
+            demand = sum(bandwidths.values())
+        stale = stale or demand_changed
 
         # admit arrivals, routing each under the weights of the moment
         while pending and pending[0].arrival <= t:
             req = pending.pop(0)
             if state.active_expr is not None:
-                util = link_utilizations(network, list(flows.values()), bandwidths)
+                util = link_utilizations(network, list(flows.values()), bandwidths) if stale else snapshot.util
                 weights = link_weights(network, util, formula_weigher(state.active_expr, threshold))
             else:
                 weights = baseline
             flows[req.id] = route_request(network, weights, req)
+            stale = True
 
-        snapshot = make_snapshot(network, t, list(flows.values()), bandwidths)
-        congested = detect(snapshot, threshold)
+        if stale:
+            snapshot = make_snapshot(network, t, list(flows.values()), bandwidths)
+            congested = detect(snapshot, threshold)
+            max_util = max(snapshot.util, default=0.0)
+        else:
+            snapshot = Snapshot(t, snapshot.flows, snapshot.util)
 
+        installed = False
         if congested and adaptive:
             new_flows = adapt_step(network, snapshot, bandwidths, kb, state, gp, rng)
             if new_flows is not None:
                 flows = {f.request: f for f in new_flows}
+                installed = True
 
         if congested:
             metrics.congestion_duration += 1
@@ -175,16 +203,20 @@ def run_scenario(
         else:
             in_congestion_run = False
 
-        # loss proxy accounts the state that persists through this tick
-        thr = link_throughputs(network, list(flows.values()), bandwidths)
+        # loss proxy accounts the state that persists through this tick;
         # links at or under capacity add nothing to the excess
-        excess_total += sum(t - bw for t, bw in zip(thr, network.bws) if t > bw)
-        demand_total += sum(bandwidths.values())
+        if stale or installed:
+            thr = link_throughputs(network, list(flows.values()), bandwidths)
+            over = max(map(sub, thr, network.bws), default=0.0)
+            excess = 0.0 if over <= 0 else sum(x - bw for x, bw in zip(thr, network.bws) if x > bw)
+        stale = installed
+        excess_total += excess
+        demand_total += demand
 
         trace.append(
             TickRow(
                 t=t,
-                max_util=max(snapshot.util, default=0.0),
+                max_util=max_util,
                 congested=congested,
                 flow_count=len(flows),
                 formula_id=state.invocation_count,
@@ -204,6 +236,20 @@ def run_scenario(
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ScenarioError(message)
+
+
+def _parse_request(rid: int, s: int, d: int, arrival: float, text: str) -> Request:
+    """``text`` is "30" for a constant demand, "0:30,40:50" for a
+    piecewise-constant one."""
+    if ":" not in text:
+        return Request.constant(rid, s, d, arrival, float(text))
+    segments = []
+    for seg in text.split(","):
+        parts = seg.split(":")
+        if len(parts) != 2:
+            raise ValueError(f"profile segment {seg!r} is not START:MBPS")
+        segments.append((float(parts[0]), float(parts[1])))
+    return Request(rid, s, d, arrival, tuple(segments))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -227,7 +273,7 @@ def load_scenario(path: str) -> Scenario:
     seed = 0
     kb_path: str | None = None
     gp_kwargs: dict = {}
-    request_lines: list[tuple] = []
+    requests: list[Request] = []
 
     gp_keys = {
         "population": ("population_size", int),
@@ -273,12 +319,16 @@ def load_scenario(path: str) -> Scenario:
                     gp_kwargs[name] = conv(args[0])
                 elif key == "request":
                     _require(len(args) == 4, f"line {lineno}: request SRC DST ARRIVAL BD")
-                    request_lines.append(("request", int(args[0]), int(args[1]), float(args[2]), args[3]))
+                    s, d, arrival = int(args[0]), int(args[1]), float(args[2])
+                    requests.append(_parse_request(len(requests), s, d, arrival, args[3]))
                 elif key == "burst":
                     _require(len(args) == 6, f"line {lineno}: burst SRC DST PER_BURST BURSTS SPACING BD")
-                    request_lines.append(
-                        ("burst", int(args[0]), int(args[1]), int(args[2]), int(args[3]), float(args[4]), args[5])
-                    )
+                    s, d, per_burst, bursts = map(int, args[:4])
+                    spacing = float(args[4])
+                    _require(spacing > 0, f"line {lineno}: burst spacing must be positive")
+                    for b in range(bursts):
+                        for _ in range(per_burst):
+                            requests.append(_parse_request(len(requests), s, d, b * spacing, args[5]))
                 else:
                     raise ScenarioError(f"line {lineno}: unknown directive {key!r}")
             except (ValueError, IndexError) as exc:
@@ -295,26 +345,6 @@ def load_scenario(path: str) -> Scenario:
     else:
         network = load_network(os.path.join(base, value))
 
-    def parse_profile(rid: int, s: int, d: int, arrival: float, text: str) -> Request:
-        # "30" for constant, "0:30,40:50" for piecewise-constant
-        if ":" in text:
-            segments = tuple(
-                (float(seg.split(":")[0]), float(seg.split(":")[1])) for seg in text.split(",")
-            )
-            return Request(rid, s, d, arrival, segments)
-        return Request.constant(rid, s, d, arrival, float(text))
-
-    requests: list[Request] = []
-    for entry in request_lines:
-        if entry[0] == "request":
-            _, s, d, arrival, bd = entry
-            requests.append(parse_profile(len(requests), s, d, arrival, bd))
-        else:
-            _, s, d, per_burst, bursts, spacing, bd = entry
-            _require(spacing > 0, "burst: spacing must be positive")
-            for b in range(bursts):
-                for _ in range(per_burst):
-                    requests.append(parse_profile(len(requests), s, d, b * spacing, bd))
     _require(bool(requests), "request: scenario has no requests")
     for r in requests:
         _require(0 <= r.s < network.n_nodes, f"request {r.id}: source {r.s} out of range")

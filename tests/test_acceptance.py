@@ -223,19 +223,19 @@ def test_criterion_6_knowledge_base_reuse(tmp_path):
 def test_criterion_7_scaling_shape():
     with criterion(7, "planner wall-clock linear in link count"):
         sizes = (10, 20, 30, 40, 50)
-        medians = []
-        link_counts = []
-        for n in sizes:
-            net = full_topology(n)
-            flows = [Flow(i, (0,)) for i in range(5)]  # 5 x 30 = 150 Mbps
-            bw = {i: 30.0 for i in range(5)}
-            times = []
-            for seed in range(15):
+        nets = [full_topology(n) for n in sizes]
+        flows = [Flow(i, (0,)) for i in range(5)]  # 5 x 30 = 150 Mbps
+        bw = {i: 30.0 for i in range(5)}
+        times = [[] for _ in sizes]
+        # every seed times all sizes in turn, so that a phase of host
+        # contention slows every size alike instead of one size's median
+        for seed in range(15):
+            for net, samples in zip(nets, times):
                 start = time.perf_counter()
                 gen_plan(net, flows, bw, [], GpConfig(), random.Random(seed))
-                times.append(time.perf_counter() - start)
-            medians.append(statistics.median(times))
-            link_counts.append(len(net.links))
+                samples.append(time.perf_counter() - start)
+        medians = [statistics.median(samples) for samples in times]
+        link_counts = [len(net.links) for net in nets]
 
         x = np.array(link_counts, dtype=float)
         y = np.array(medians, dtype=float)

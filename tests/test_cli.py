@@ -66,6 +66,25 @@ class TestRun:
         assert blobs[0] == blobs[1]
 
 
+class TestScenarioValidation:
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            ("0:30,abc", "profile segment 'abc'"),
+            ("0:30:5", "profile segment '0:30:5'"),
+            ("15:0,0:90", "strictly increasing"),
+            ("0:30,0:50", "strictly increasing"),
+        ],
+    )
+    def test_bad_profile_exits_one_naming_the_line(self, tmp_path, capsys, profile, message):
+        path = tmp_path / "bad.scenario"
+        path.write_text(f"network mnp 3\n# demand\nrequest 0 1 0 {profile}\n")
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 3" in err and message in err
+
+
 class TestTransfer:
     def test_export_then_import(self, tmp_path, capsys):
         kb_file = tmp_path / "kb.txt"

@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -56,6 +57,33 @@ def brute_force_shortest(network, weights, src, dst):
     return None if best is None else best[1]
 
 
+def reference_shortest(network, weights, src, dst):
+    """The forward search ``shortest_weighted_path`` used before it settled
+    distances to dst: heap entries carry the node and link sequences, so
+    ties in distance resolve to the lexicographically smallest path."""
+    heap = [(0, (src,), ())]
+    pushed = {}
+    settled = set()
+    while heap:
+        dist, nodes, path = heapq.heappop(heap)
+        u = nodes[-1]
+        if u in settled:
+            continue
+        settled.add(u)
+        if u == dst:
+            return path
+        for link in network.out_links(u):
+            v = link.dst
+            if v in settled:
+                continue
+            entry = (dist + weights[link.id], nodes + (v,))
+            if v in pushed and entry >= pushed[v]:
+                continue
+            pushed[v] = entry
+            heapq.heappush(heap, (entry[0], entry[1], path + (link.id,)))
+    return None
+
+
 class TestBasics:
     def test_link_invariants(self):
         with pytest.raises(NetworkError):
@@ -77,6 +105,11 @@ class TestBasics:
         assert r.bd(39.9) == 30.0
         assert r.bd(40) == 50.0
 
+    @pytest.mark.parametrize("profile", [((15.0, 0.0), (0.0, 90.0)), ((0.0, 30.0), (0.0, 50.0))])
+    def test_request_profile_starts_strictly_increasing(self, profile):
+        with pytest.raises(NetworkError, match="strictly increasing"):
+            Request(0, 0, 1, 0.0, profile)
+
     def test_network_rejects_duplicate_pair(self):
         links = [Link(0, 0, 1, 100, 25), Link(1, 0, 1, 100, 25)]
         with pytest.raises(NetworkError):
@@ -95,6 +128,13 @@ class TestBasics:
         assert classes.sizes == (2, 1)
         assert net.link_classes is classes
         assert net.bws == (100.0, 50.0, 100.0)
+
+    def test_adjacency_built_on_first_use(self):
+        net = Network(3, [Link(0, 2, 0, 100.0, 25.0), Link(1, 0, 2, 100.0, 25.0), Link(2, 0, 1, 100.0, 25.0)])
+        assert "in_links" not in vars(net) and "out_by_dst" not in vars(net)
+        assert shortest_weighted_path(net, [1, 1, 1], 0, 2) == (1,)
+        assert net.in_links == ([(0, 2)], [(2, 0)], [(1, 0)])
+        assert net.out_by_dst == ([(1, 2), (2, 1)], [], [(0, 0)])
 
     def test_flow_validation(self, fig1):
         fig1.validate_flow(Flow(0, (2, 4)))
@@ -237,6 +277,44 @@ def test_shortest_path_matches_brute_force(case):
     expected = brute_force_shortest(net, weights, src, dst)
     assert shortest_weighted_path(net, weights, src, dst) == expected
     assert shortest_weighted_path(net, dict(enumerate(weights)), src, dst) == expected
+
+
+def _assert_matches_reference(net, weights, pairs):
+    for src, dst in pairs:
+        expected = reference_shortest(net, weights, src, dst)
+        assert shortest_weighted_path(net, weights, src, dst) == expected, (src, dst)
+
+
+@pytest.mark.parametrize("n", [20, 25, 30])
+@pytest.mark.parametrize("spread", [2, 100])
+def test_dense_graphs_match_reference(n, spread):
+    """Complete graphs with near-uniform (1-2) and random (1-100) weights,
+    the regime of the planner on dense networks."""
+    rng = random.Random(n * 1000 + spread)
+    net = full_topology(n)
+    for _ in range(3):
+        weights = [rng.randint(1, spread) for _ in net.links]
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(150)]
+        _assert_matches_reference(net, weights, pairs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_loaded_networks_match_reference(tmp_path, seed):
+    """Networks read from files whose link ids follow no order of
+    destination (nor of source), with weights keyed by those ids."""
+    rng = random.Random(seed)
+    n = 12
+    pairs = [(s, d) for s in range(n) for d in range(n) if s != d and rng.random() < 0.4]
+    rng.shuffle(pairs)
+    path = tmp_path / "net.txt"
+    path.write_text(
+        f"nodes {n}\n" + "".join(f"link {i} {s} {d} 100.0 25.0\n" for i, (s, d) in enumerate(pairs))
+    )
+    net = load_network(str(path))
+    assert [link.dst for link in net.links] != sorted(link.dst for link in net.links)
+    for spread in (1, 3, 50):
+        weights = {link.id: rng.randint(1, spread) for link in net.links}
+        _assert_matches_reference(net, weights, [(s, d) for s in range(n) for d in range(n) if s != d])
 
 
 class TestTopologies:

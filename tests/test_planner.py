@@ -346,9 +346,9 @@ class TestFitnessCache:
         calls = Counter()
         real = planner.compute_surrogate
 
-        def counting(network, keep, bad, bandwidths, expr, threshold):
+        def counting(network, keep, bad, bandwidths, expr, threshold, *rest):
             calls[format_expr(expr)] += 1
-            return real(network, keep, bad, bandwidths, expr, threshold)
+            return real(network, keep, bad, bandwidths, expr, threshold, *rest)
 
         monkeypatch.setattr(planner, "compute_surrogate", counting)
         # seed 2 searches for 19 generations, so parents recur

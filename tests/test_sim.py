@@ -1,13 +1,31 @@
+from dataclasses import replace
+from random import Random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import scenario_path
+from conftest import EXAMPLE_FORMULA, scenario_path
 
-from evoroute.loop import KnowledgeBase
-from evoroute.netmodel import Request, full_topology, mnp_topology, unit_weights
-from evoroute.planner import GpConfig, Individual
+from evoroute.expr import parse_expr
+from evoroute.loop import AdaptationState, KnowledgeBase, adapt_step, detect
+from evoroute.netmodel import (
+    Link,
+    Network,
+    Request,
+    full_topology,
+    link_throughputs,
+    link_utilizations,
+    make_snapshot,
+    mnp_topology,
+    unit_weights,
+)
+from evoroute.planner import GpConfig, Individual, formula_weigher, link_weights
 from evoroute.sim import (
+    MetricsRecord,
     Scenario,
     ScenarioError,
+    TickRow,
     inverse_bw_weights,
     load_scenario,
     packet_loss_proxy,
@@ -16,6 +34,98 @@ from evoroute.sim import (
     write_metrics_csv,
     write_trace_csv,
 )
+
+
+def reference_run(scenario, seed, router, kb):
+    """The tick loop ``run_scenario`` ran before it recomputed per-link state
+    only on change ticks: every tick rebuilds the demands, the snapshot, the
+    congestion verdict and the loss excess from scratch. Returns the trace,
+    the metrics and the final flows."""
+    network = scenario.network
+    threshold = scenario.threshold
+    gp = replace(scenario.gp, threshold=threshold)
+    adaptive = router == "genadapt"
+    static = inverse_bw_weights(network) if router == "inverse-bw-ospf" else unit_weights(network)
+    baseline = [static[link.id] for link in network.links]
+    rng = Random(seed)
+    state = AdaptationState()
+    flows = {}
+    pending = sorted(scenario.requests, key=lambda r: (r.arrival, r.id))
+    metrics = MetricsRecord()
+    trace = []
+    in_run = False
+    excess_total = demand_total = 0.0
+    for t in range(scenario.resolved_duration()):
+        bandwidths = {r.id: r.bd(t) for r in scenario.requests if r.arrival <= t}
+        while pending and pending[0].arrival <= t:
+            req = pending.pop(0)
+            weights = baseline
+            if state.active_expr is not None:
+                util = link_utilizations(network, list(flows.values()), bandwidths)
+                weights = link_weights(network, util, formula_weigher(state.active_expr, threshold))
+            flows[req.id] = route_request(network, weights, req)
+        snapshot = make_snapshot(network, t, list(flows.values()), bandwidths)
+        congested = detect(snapshot, threshold)
+        if congested and adaptive:
+            new_flows = adapt_step(network, snapshot, bandwidths, kb, state, gp, rng)
+            if new_flows is not None:
+                flows = {f.request: f for f in new_flows}
+        if congested:
+            metrics.congestion_duration += 1
+            metrics.congestion_occurrences += not in_run
+        in_run = congested
+        thr = link_throughputs(network, list(flows.values()), bandwidths)
+        excess_total += sum(x - bw for x, bw in zip(thr, network.bws) if x > bw)
+        demand_total += sum(bandwidths.values())
+        trace.append(TickRow(t, max(snapshot.util, default=0.0), congested, len(flows), state.invocation_count))
+    metrics.packet_loss_proxy = packet_loss_proxy(excess_total, demand_total)
+    metrics.planner_invocations = state.invocation_count
+    return trace, metrics, flows
+
+
+_MBPS = st.floats(0.0, 90.0, allow_nan=False).map(lambda x: x + 0.37)
+_TIME = st.integers(0, 40).map(lambda q: q / 4)  # quarter ticks: on and off the tick grid
+
+
+@st.composite
+def small_scenarios(draw):
+    """A complete graph of 3-5 nodes with mixed link bandwidths, and up to
+    eight requests with fractional arrivals and piecewise profiles whose
+    segments start on and between ticks."""
+    n = draw(st.integers(3, 5))
+    pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+    bws = draw(st.lists(st.sampled_from([60.0, 100.0, 150.0]), min_size=len(pairs), max_size=len(pairs)))
+    network = Network(n, [Link(i, s, d, bw, 25.0) for i, ((s, d), bw) in enumerate(zip(pairs, bws))])
+    requests = []
+    for rid in range(draw(st.integers(1, 8))):
+        s, d = draw(st.sampled_from(pairs))
+        starts = draw(st.lists(_TIME.map(lambda x: x - 1.0), min_size=1, max_size=4, unique=True))
+        profile = tuple(zip(sorted(starts), draw(st.lists(_MBPS, min_size=len(starts), max_size=len(starts)))))
+        requests.append(Request(rid, s, d, draw(_TIME), profile))
+    duration = draw(st.one_of(st.none(), st.integers(11, 14)))
+    gp = GpConfig(population_size=6, tournament_size=3, max_generations=2, max_depth=5)
+    return Scenario(network, requests, threshold=0.8, duration=duration, gp=gp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small_scenarios(),
+    st.sampled_from(["genadapt", "unit-ospf", "inverse-bw-ospf"]),
+    st.integers(0, 3),
+    st.booleans(),
+)
+def test_run_matches_per_tick_reference(scenario, router, seed, warm):
+    # a warm knowledge base holds the example formula, which weighs links by
+    # utilization, so that arrivals after a plan avoid the loaded links
+    def kb():
+        return KnowledgeBase([Individual(parse_expr(EXAMPLE_FORMULA))] if warm else [])
+
+    result = run_scenario(scenario, seed=seed, router=router, kb=kb())
+    trace, metrics, flows = reference_run(scenario, seed, router, kb())
+    assert result.trace == trace
+    fields = ("congestion_occurrences", "congestion_duration", "packet_loss_proxy", "planner_invocations")
+    assert [getattr(result.metrics, f) for f in fields] == [getattr(metrics, f) for f in fields]
+    assert result.flows == flows
 
 
 @pytest.fixture
