@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 OPS = ("+", "-", "*", "/")
 VAR_NAMES = ("bw", "dl", "util", "threshold")
@@ -26,18 +26,18 @@ DEFAULT_CONST_MIN = 0.0
 DEFAULT_CONST_MAX = 100.0
 
 
-@dataclass(frozen=True)
-class Const:
+# Trees and contexts are named tuples, not frozen dataclasses: hashing,
+# comparing and building them runs in C, and a tree's hash and equality are
+# those of the tuple of its fields, as a frozen dataclass's were.
+class Const(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str  # one of VAR_NAMES
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of OPS
     left: "Expr"
     right: "Expr"
@@ -48,8 +48,7 @@ class BinOp:
 Expr = Const | Var | BinOp
 
 
-@dataclass(frozen=True)
-class EvalContext:
+class EvalContext(NamedTuple):
     """Per-link inputs to a weight formula."""
 
     bw: float
@@ -131,24 +130,25 @@ def nodes_with_levels(expr: Expr) -> list[tuple[Expr, int]]:
 
 
 def replace_subtree(expr: Expr, index: int, replacement: Expr) -> Expr:
-    """Rebuild the tree with the preorder node at `index` swapped out."""
+    """The tree with the preorder node at `index` swapped out.
 
-    def rec(node: Expr, counter: list[int]) -> Expr:
-        i = counter[0]
-        counter[0] += 1
-        if i == index:
-            # still consume the replaced subtree's preorder slots
-            counter[0] += size(node) - 1
-            return replacement
-        if isinstance(node, BinOp):
-            left = rec(node.left, counter)
-            right = rec(node.right, counter)
-            return BinOp(node.op, left, right)
-        return node
-
+    Only the nodes on the path from the root to `index` are rebuilt; every
+    other subtree is shared with `expr`.
+    """
     if not (0 <= index < size(expr)):
         raise ExprError(f"node index {index} out of range")
-    return rec(expr, [0])
+
+    def rec(node: Expr, i: int) -> Expr:
+        if i == 0:
+            return replacement
+        # a node in range below the root: `node` is a BinOp whose left
+        # subtree holds preorder slots 1..size(left)
+        left_size = size(node.left)
+        if i <= left_size:
+            return BinOp(node.op, rec(node.left, i - 1), node.right)
+        return BinOp(node.op, node.left, rec(node.right, i - 1 - left_size))
+
+    return rec(expr, index)
 
 
 def grow_random(

@@ -185,8 +185,7 @@ class Network:
         return self.link(path[0]).src, self.link(path[-1]).dst
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     """Monitored network state at one instant: live flows and per-link utilization."""
 
     t: float

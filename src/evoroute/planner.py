@@ -17,7 +17,6 @@ from .expr import (
     Expr,
     crossover,
     eval_expr,
-    format_expr,
     grow_random,
     mutate,
     to_weight,
@@ -65,7 +64,7 @@ class PlanResult:
     retained: list[Individual]
     generations: int
     best_history: list[float]
-    initial_formulas: list[str]
+    initial: list[Expr]  # the initial population's formulas, in order
 
 
 def normalize(x: float) -> float:
@@ -171,8 +170,8 @@ def compute_surrogate(
 
     Utilization starts from the kept flows only (``keep_util``, when the
     caller has it already; it is copied, not changed); after each placement
-    the weights of the links on the new path are refreshed. A flow whose
-    destination is unreachable keeps its original path.
+    but the last the weights of the links on the new path are refreshed. A
+    flow whose destination is unreachable keeps its original path.
     """
     util = link_utilizations(network, keep_flows, bandwidths) if keep_util is None else list(keep_util)
     weigh = formula_weigher(expr, threshold)
@@ -183,12 +182,14 @@ def compute_surrogate(
         path = shortest_weighted_path(network, weights, src, dst)
         if path is None:
             path = f.path
+        rerouted.append(Flow(f.request, tuple(path)))
+        if len(rerouted) == len(bad_flows):
+            break  # nothing is routed after the last flow: its load goes unweighed
         bd = bandwidths[f.request]
         for e in path:
             link = network.link(e)
             util[e] += bd / link.bw
             weights[e] = weigh(link.bw, link.dl, util[e])
-        rerouted.append(Flow(f.request, tuple(path)))
     return rerouted + list(keep_flows)
 
 
@@ -278,7 +279,7 @@ def gen_plan(
         Individual(grow_random(config.max_depth, rng, config.const_min, config.const_max))
         for _ in range(config.population_size - len(seeds))
     ]
-    initial_formulas = [format_expr(ind.expr) for ind in population]
+    initial = [ind.expr for ind in population]
 
     # (fitness, surrogate flows) per formula already scored in this call;
     # scoring draws no random numbers, so skipping a repeat leaves the RNG
@@ -288,6 +289,11 @@ def gen_plan(
     # division by a zero of either sign is protected, and to_weight takes
     # the absolute value.
     scored: dict[Expr, tuple[float, list[Flow]]] = {}
+    # Fitness per plan: the surrogate flows are the re-routed bad flows, in
+    # bad_flows order, followed by the kept flows, and everything else
+    # evaluate_plan reads is fixed for the call, so the re-routed paths
+    # alone decide the fitness. Distinct formulas often make the same plan.
+    plans: dict[tuple[tuple[int, ...], ...], float] = {}
 
     def assess(ind: Individual) -> None:
         hit = scored.get(ind.expr)
@@ -295,7 +301,12 @@ def gen_plan(
             flows = compute_surrogate(
                 network, keep_flows, bad_flows, bandwidths, ind.expr, config.threshold, keep_util
             )
-            fitness = evaluate_plan(network, flows, old_flows, bandwidths, config.threshold)
+            plan = tuple(f.path for f in flows[: len(bad_flows)])
+            fitness = plans.get(plan)
+            if fitness is None:
+                fitness = plans[plan] = evaluate_plan(
+                    network, flows, old_flows, bandwidths, config.threshold
+                )
             hit = scored[ind.expr] = (fitness, flows)
         ind.fitness = hit[0]
 
@@ -319,4 +330,4 @@ def gen_plan(
     retained = [
         ind.copy() for ind in sorted(population, key=lambda i: i.fitness)
     ][: config.population_size // 2]
-    return PlanResult(best, scored[best.expr][1], retained, generations, history, initial_formulas)
+    return PlanResult(best, scored[best.expr][1], retained, generations, history, initial)

@@ -10,13 +10,13 @@ from operator import sub
 from random import Random
 from typing import Mapping, Sequence
 
+from .expr import DEFAULT_MAX_DEPTH
 from .loop import AdaptationState, KnowledgeBase, adapt_step, detect, import_kb
 from .netmodel import (
     ConfigError,
     Flow,
     Network,
     Request,
-    Snapshot,
     full_topology,
     link_throughputs,
     link_utilizations,
@@ -47,12 +47,30 @@ class Scenario:
     gp: GpConfig = field(default_factory=GpConfig)
     seed: int = 0
     kb_path: str | None = None
+    # (kb_path, max_depth) and the knowledge base parsed from them
+    _kb: tuple[tuple[str, int], KnowledgeBase] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def resolved_duration(self) -> int:
         if self.duration is not None:
             return self.duration
         last = max((r.arrival for r in self.requests), default=0.0)
         return int(math.ceil(last)) + 10
+
+    def knowledge_base(self) -> KnowledgeBase:
+        """A new knowledge base holding the formulas of ``kb_path``.
+
+        The file is read and parsed on first use only. Each call returns
+        copies of the parsed individuals, which share their immutable trees.
+        """
+        if self.kb_path is None:
+            raise ScenarioError("kb: genadapt-reuse requires a knowledge-base file")
+        key = (self.kb_path, self.gp.max_depth)
+        if self._kb is None or self._kb[0] != key:
+            self._kb = (key, import_kb(self.kb_path, max_depth=self.gp.max_depth))
+        parsed = self._kb[1]
+        return KnowledgeBase([ind.copy() for ind in parsed.retained], parsed.provenance)
 
 
 @dataclass
@@ -127,12 +145,7 @@ def run_scenario(
     gp = replace(scenario.gp, threshold=threshold)
 
     if kb is None:
-        if router == "genadapt-reuse":
-            if scenario.kb_path is None:
-                raise ScenarioError("kb: genadapt-reuse requires a knowledge-base file")
-            kb = import_kb(scenario.kb_path, max_depth=gp.max_depth)
-        else:
-            kb = KnowledgeBase()
+        kb = scenario.knowledge_base() if router == "genadapt-reuse" else KnowledgeBase()
 
     adaptive = router in ("genadapt", "genadapt-reuse")
     static = inverse_bw_weights(network) if router == "inverse-bw-ospf" else unit_weights(network)
@@ -185,11 +198,12 @@ def run_scenario(
             snapshot = make_snapshot(network, t, list(flows.values()), bandwidths)
             congested = detect(snapshot, threshold)
             max_util = max(snapshot.util, default=0.0)
-        else:
-            snapshot = Snapshot(t, snapshot.flows, snapshot.util)
 
         installed = False
         if congested and adaptive:
+            # the snapshot is this tick's: congestion starts only on a tick
+            # that rebuilt it, and a plan (always returned here) marks the
+            # next tick stale, so every planning tick is a rebuilding one
             new_flows = adapt_step(network, snapshot, bandwidths, kb, state, gp, rng)
             if new_flows is not None:
                 flows = {f.request: f for f in new_flows}
@@ -260,7 +274,8 @@ def load_scenario(path: str) -> Scenario:
     ``kb PATH``, GP keys (``population``, ``max_generations``,
     ``crossover_rate``, ``mutation_rate``, ``tournament``, ``max_depth``,
     ``early_stop``), ``request SRC DST ARRIVAL BD`` and
-    ``burst SRC DST PER_BURST BURSTS SPACING BD``.
+    ``burst SRC DST PER_BURST BURSTS SPACING BD``. GP settings outside
+    their ranges are refused, naming the line that set them.
     """
     if not os.path.exists(path):
         raise ScenarioError(f"scenario file not found: {path}")
@@ -275,15 +290,20 @@ def load_scenario(path: str) -> Scenario:
     gp_kwargs: dict = {}
     requests: list[Request] = []
 
+    # directive -> (GpConfig field, conversion, check, what the check requires);
+    # the tournament size is also checked against the population below
     gp_keys = {
-        "population": ("population_size", int),
-        "max_generations": ("max_generations", int),
-        "crossover_rate": ("crossover_rate", float),
-        "mutation_rate": ("mutation_rate", float),
-        "tournament": ("tournament_size", int),
-        "max_depth": ("max_depth", int),
-        "early_stop": ("early_stop_fitness", float),
+        "population": ("population_size", int, lambda v: v >= 1, "at least 1"),
+        "max_generations": ("max_generations", int, lambda v: v >= 0, "at least 0"),
+        "crossover_rate": ("crossover_rate", float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+        "mutation_rate": ("mutation_rate", float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+        "tournament": ("tournament_size", int, lambda v: v >= 1, "at least 1"),
+        "max_depth": (
+            "max_depth", int, lambda v: 1 <= v <= DEFAULT_MAX_DEPTH, f"in 1..{DEFAULT_MAX_DEPTH}"
+        ),
+        "early_stop": ("early_stop_fitness", float, math.isfinite, "finite"),
     }
+    gp_lines: dict[str, int] = {}  # GpConfig field -> line that set it
 
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -315,8 +335,11 @@ def load_scenario(path: str) -> Scenario:
                 elif key == "kb":
                     kb_path = os.path.join(base, args[0])
                 elif key in gp_keys:
-                    name, conv = gp_keys[key]
-                    gp_kwargs[name] = conv(args[0])
+                    name, conv, check, rule = gp_keys[key]
+                    value = conv(args[0])
+                    _require(check(value), f"line {lineno}: {key} must be {rule}, got {args[0]}")
+                    gp_kwargs[name] = value
+                    gp_lines[name] = lineno
                 elif key == "request":
                     _require(len(args) == 4, f"line {lineno}: request SRC DST ARRIVAL BD")
                     s, d, arrival = int(args[0]), int(args[1]), float(args[2])
@@ -336,6 +359,14 @@ def load_scenario(path: str) -> Scenario:
                     raise
                 raise ScenarioError(f"{key}: line {lineno}: {exc}") from None
 
+    gp = GpConfig(**gp_kwargs)
+    if gp.tournament_size > gp.population_size:
+        # name the later of the two lines: the one that broke the pair
+        lineno = max(gp_lines.get("population_size", 0), gp_lines.get("tournament_size", 0))
+        raise ScenarioError(
+            f"tournament: line {lineno}: tournament size {gp.tournament_size} "
+            f"exceeds population {gp.population_size}"
+        )
     _require(net_spec is not None, "network: no network directive in scenario")
     kind, value = net_spec
     if kind == "full":
@@ -356,7 +387,7 @@ def load_scenario(path: str) -> Scenario:
         threshold=threshold,
         duration=duration,
         router=router,
-        gp=GpConfig(**gp_kwargs),
+        gp=gp,
         seed=seed,
         kb_path=kb_path,
     )

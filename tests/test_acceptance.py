@@ -206,10 +206,8 @@ def test_criterion_6_knowledge_base_reuse(tmp_path):
         flows = [Flow(i, (0,)) for i in range(3)]
         bw = {i: 30.0 for i in range(3)}
         plan = gen_plan(net, flows, bw, kb.retained, GpConfig(max_generations=0), random.Random(1))
-        assert len(plan.initial_formulas) == 10
-        from evoroute.expr import format_expr
-
-        assert plan.initial_formulas[:5] == [format_expr(i.expr) for i in kb.retained]
+        assert len(plan.initial) == 10
+        assert plan.initial[:5] == [i.expr for i in kb.retained]
 
         # transfer: the 3-path-trained kb resolves the 5-path subject, 30/30
         target = load_scenario(scenario_path("mnp5_2"))

@@ -85,6 +85,43 @@ class TestScenarioValidation:
         assert "line 3" in err and message in err
 
 
+    @pytest.mark.parametrize(
+        "directives, line, message",
+        [
+            ("population 3", 2, "tournament size 7 exceeds population 3"),
+            ("population 12\ntournament 13", 3, "tournament size 13 exceeds population 12"),
+            ("tournament 5\npopulation 4", 3, "tournament size 5 exceeds population 4"),
+            ("tournament 0", 2, "tournament must be at least 1"),
+            ("population 0", 2, "population must be at least 1"),
+            ("crossover_rate 7", 2, "crossover_rate must be in [0, 1]"),
+            ("mutation_rate -0.1", 2, "mutation_rate must be in [0, 1]"),
+            ("mutation_rate nan", 2, "mutation_rate must be in [0, 1]"),
+            ("early_stop nan", 2, "early_stop must be finite"),
+            ("early_stop inf", 2, "early_stop must be finite"),
+            ("max_generations -1", 2, "max_generations must be at least 0"),
+            ("max_depth 3000", 2, "max_depth must be in 1..15"),
+            ("max_depth 0", 2, "max_depth must be in 1..15"),
+        ],
+    )
+    def test_bad_gp_setting_exits_one_naming_the_line(self, tmp_path, capsys, directives, line, message):
+        path = tmp_path / "bad.scenario"
+        path.write_text(f"network mnp 3\n{directives}\nrequest 0 1 0 30\n")
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"line {line}" in err and message in err
+
+    def test_gp_settings_at_their_bounds_run(self, tmp_path):
+        path = tmp_path / "edge.scenario"
+        path.write_text(
+            "network mnp 3\npopulation 1\ntournament 1\ncrossover_rate 1\nmutation_rate 0\n"
+            "max_generations 0\nmax_depth 15\nearly_stop 0\nburst 0 1 3 1 1 30\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+        assert int(read_csv(out / "metrics.csv")[0]["planner_invocations"]) >= 1
+
+
 class TestTransfer:
     def test_export_then_import(self, tmp_path, capsys):
         kb_file = tmp_path / "kb.txt"

@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evoroute.expr import (
+    OPS,
+    VAR_NAMES,
     BinOp,
     Const,
     EvalContext,
+    ExprError,
     ParseError,
     Var,
     crossover,
@@ -20,7 +23,10 @@ from evoroute.expr import (
     format_expr,
     grow_random,
     mutate,
+    nodes_with_levels,
     parse_expr,
+    replace_subtree,
+    size,
     to_weight,
 )
 
@@ -123,6 +129,65 @@ class TestCrossover:
         assert repaired > 0  # the repair path is exercised
 
 
+def reference_replace_subtree(expr, index, replacement):
+    """Full-rebuild reference: every BinOp of the tree is built anew."""
+
+    def rec(node, counter):
+        i = counter[0]
+        counter[0] += 1
+        if i == index:
+            counter[0] += size(node) - 1  # skip the replaced subtree's slots
+            return replacement
+        if isinstance(node, BinOp):
+            left = rec(node.left, counter)
+            right = rec(node.right, counter)
+            return BinOp(node.op, left, right)
+        return node
+
+    if not (0 <= index < size(expr)):
+        raise ExprError(f"node index {index} out of range")
+    return rec(expr, [0])
+
+
+_LEAVES = st.one_of(
+    st.floats(min_value=0.0, max_value=1e6).map(Const), st.sampled_from(VAR_NAMES).map(Var)
+)
+TREES = st.recursive(
+    _LEAVES, lambda kids: st.builds(BinOp, st.sampled_from(OPS), kids, kids), max_leaves=24
+)
+
+
+class TestReplaceSubtree:
+    @settings(max_examples=200, deadline=None)
+    @given(TREES, TREES)
+    def test_matches_full_rebuild_and_shares_untouched_subtrees(self, expr, replacement):
+        before = [node for node, _ in nodes_with_levels(expr)]
+        for index, old in enumerate(before):
+            got = replace_subtree(expr, index, replacement)
+            assert got == reference_replace_subtree(expr, index, replacement)
+            after = [node for node, _ in nodes_with_levels(got)]
+            shift = size(replacement) - size(old)
+            assert after[index] is replacement
+            for j, node in enumerate(before):
+                ancestor = j < index < j + size(node)
+                replaced = index <= j < index + size(old)
+                if not (ancestor or replaced):
+                    assert after[j if j < index else j + shift] is node
+
+    @given(TREES)
+    def test_out_of_range_index_raises(self, expr):
+        for index in (-1, size(expr), size(expr) + 3):
+            with pytest.raises(ExprError, match="out of range"):
+                replace_subtree(expr, index, Var("bw"))
+
+    def test_hash_and_equality_are_the_fields_tuple(self):
+        tree = BinOp("+", Const(1.5), Var("util"))
+        assert hash(tree) == hash(("+", (1.5,), ("util",)))
+        assert tree == BinOp("+", Const(1.5), Var("util"))
+        assert tree != BinOp("-", Const(1.5), Var("util"))
+        assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
+
+
 class TestMutate:
     def test_leaf_input_regrown(self):
         out = mutate(Var("util"), random.Random(8))
@@ -150,7 +215,9 @@ class TestTextFormat:
     @given(st.integers(min_value=0, max_value=10**9))
     def test_round_trip_random_trees(self, seed):
         expr = grow_random(8, random.Random(seed))
-        assert parse_expr(format_expr(expr)) == expr
+        back = parse_expr(format_expr(expr))
+        assert back == expr
+        assert hash(back) == hash(expr)
 
     def test_unbalanced_error_position(self):
         with pytest.raises(ParseError) as exc:

@@ -70,11 +70,11 @@ class TestAdaptStep:
         state = AdaptationState()
         kb = KnowledgeBase()
         adapt_step(fig1, snap, bw, kb, state, GpConfig(max_generations=300), random.Random(1))
-        prior = [format_expr(ind.expr) for ind in kb.retained]
+        prior = [ind.expr for ind in kb.retained]
         result = gen_plan(
             fig1, flows, bw, kb.retained, GpConfig(max_generations=0), random.Random(2)
         )
-        assert result.initial_formulas[:5] == prior
+        assert result.initial[:5] == prior
 
 
 class TestKbFiles:

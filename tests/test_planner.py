@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import EXAMPLE_FORMULA
+
 from evoroute import planner
 from evoroute.expr import EvalContext, eval_expr, format_expr, grow_random, parse_expr, to_weight
 from evoroute.netmodel import (
@@ -16,6 +18,7 @@ from evoroute.netmodel import (
     full_topology,
     link_utilizations,
     mnp_topology,
+    shortest_weighted_path,
 )
 from evoroute.planner import (
     GpConfig,
@@ -173,6 +176,70 @@ class TestComputeSurrogate:
         assert sorted(f.request for f in new) == [0, 1, 2]
 
 
+def reference_surrogate(network, keep_flows, bad_flows, bandwidths, expr, threshold):
+    """The re-route that also weighs the last placed flow's links."""
+    util = link_utilizations(network, keep_flows, bandwidths)
+    weigh = formula_weigher(expr, threshold)
+    weights = link_weights(network, util, weigh)
+    rerouted = []
+    for f in bad_flows:
+        src, dst = network.path_endpoints(f.path)
+        path = shortest_weighted_path(network, weights, src, dst) or f.path
+        for e in path:
+            link = network.link(e)
+            util[e] += bandwidths[f.request] / link.bw
+            weights[e] = weigh(link.bw, link.dl, util[e])
+        rerouted.append(Flow(f.request, tuple(path)))
+    return rerouted + list(keep_flows)
+
+
+@st.composite
+def surrogate_cases(draw):
+    """1-4 bad flows and 0-4 kept flows on one-link paths of a small graph,
+    with a random formula or the example one."""
+    network = draw(st.sampled_from([mnp_topology(3), mnp_topology(5), full_topology(5)]))
+    n_bad = draw(st.integers(1, 4))
+    n_keep = draw(st.integers(0, 4))
+    links = draw(st.lists(st.integers(0, len(network.links) - 1), min_size=n_bad + n_keep, max_size=n_bad + n_keep))
+    flows = [Flow(r, (e,)) for r, e in enumerate(links)]
+    bandwidths = {r: draw(st.sampled_from([10.0, 25.0, 30.0, 47.5])) for r in range(len(flows))}
+    seed = draw(st.one_of(st.none(), st.integers(0, 10**9)))
+    expr = parse_expr(EXAMPLE_FORMULA) if seed is None else grow_random(6, random.Random(seed))
+    return network, flows[n_bad:], flows[:n_bad], bandwidths, expr
+
+
+class TestSurrogateStopsAfterLastPath:
+    @settings(max_examples=300, deadline=None)
+    @given(surrogate_cases())
+    def test_matches_reference(self, case):
+        network, keep, bad, bandwidths, expr = case
+        assert compute_surrogate(network, keep, bad, bandwidths, expr, 0.8) == reference_surrogate(
+            network, keep, bad, bandwidths, expr, 0.8
+        )
+
+    @pytest.mark.parametrize("n_bad", [1, 2, 3])
+    def test_no_evaluation_after_last_route(self, fig1, example_expr, monkeypatch, n_bad):
+        events = []
+        real_eval, real_route = planner.eval_expr, planner.shortest_weighted_path
+
+        def counting_eval(expr, ctx):
+            events.append("eval")
+            return real_eval(expr, ctx)
+
+        def counting_route(*args):
+            events.append("route")
+            return real_route(*args)
+
+        monkeypatch.setattr(planner, "eval_expr", counting_eval)
+        monkeypatch.setattr(planner, "shortest_weighted_path", counting_route)
+        bad = [Flow(r, (0,)) for r in range(n_bad)]
+        bandwidths = {r: 20.0 + r for r in range(n_bad)}
+        compute_surrogate(fig1, [], bad, bandwidths, example_expr, 0.8)
+        # one evaluation for the idle links' class, then each flow takes link
+        # 0 and every placement but the last re-weighs it at a new load
+        assert events == ["eval", "route"] * n_bad
+
+
 class TestTournament:
     def population(self):
         return [Individual(parse_expr("util"), fitness=float(i)) for i in range(10)]
@@ -270,8 +337,8 @@ class TestGenPlan:
         result = gen_plan(
             fig1, three_direct_flows(), BW3, seeds, GpConfig(max_generations=0), random.Random(4)
         )
-        assert len(result.initial_formulas) == 10
-        assert result.initial_formulas[:5] == [format_expr(example_expr)] * 5
+        assert len(result.initial) == 10
+        assert result.initial[:5] == [example_expr] * 5
 
 
 def reference_weights(network, util, expr, threshold):
@@ -342,6 +409,56 @@ class TestLinkWeights:
 
 
 class TestFitnessCache:
+    def test_one_evaluation_per_distinct_plan(self, fig1, monkeypatch):
+        plans = Counter()
+        real = planner.evaluate_plan
+
+        def counting(network, new_flows, *rest):
+            plans[tuple(new_flows)] += 1
+            return real(network, new_flows, *rest)
+
+        formulas = set()
+        real_surrogate = planner.compute_surrogate
+
+        def recording(network, keep, bad, bandwidths, expr, *rest):
+            formulas.add(expr)
+            return real_surrogate(network, keep, bad, bandwidths, expr, *rest)
+
+        monkeypatch.setattr(planner, "evaluate_plan", counting)
+        monkeypatch.setattr(planner, "compute_surrogate", recording)
+        result = gen_plan(
+            fig1, three_direct_flows(), BW3, [], GpConfig(max_generations=300), random.Random(2)
+        )
+        assert result.generations == 19
+        assert len(formulas) > len(plans)  # distinct formulas made the same plan
+        assert max(plans.values()) == 1
+
+    def test_each_fitness_is_its_own_plans(self, monkeypatch):
+        net = mnp_topology(5)
+        old = [Flow(r, (0,)) for r in range(4)]  # two of them must move
+        bandwidths = {0: 30.0, 1: 30.0, 2: 30.0, 3: 25.0}
+        surrogates = {}
+        real_surrogate, real_breed = planner.compute_surrogate, planner._breed
+
+        def recording(network, keep, bad, bw, expr, *rest):
+            surrogates[expr] = real_surrogate(network, keep, bad, bw, expr, *rest)
+            return surrogates[expr]
+
+        checked = []
+
+        def checking(population, *rest):  # sees every scored generation but the last
+            for ind in population:
+                assert ind.fitness == evaluate_plan(net, surrogates[ind.expr], old, bandwidths, 0.8)
+                checked.append(ind)
+            return real_breed(population, *rest)
+
+        monkeypatch.setattr(planner, "compute_surrogate", recording)
+        monkeypatch.setattr(planner, "_breed", checking)
+        # no early stop: every generation runs, so many formulas are scored
+        config = GpConfig(max_generations=30, early_stop_fitness=0.0)
+        gen_plan(net, old, bandwidths, [], config, random.Random(0))
+        assert len(checked) == 300
+
     def test_surrogate_once_per_distinct_formula(self, fig1, monkeypatch):
         calls = Counter()
         real = planner.compute_surrogate

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import EXAMPLE_FORMULA, scenario_path
 
+from evoroute import sim
 from evoroute.expr import parse_expr
 from evoroute.loop import AdaptationState, KnowledgeBase, adapt_step, detect
 from evoroute.netmodel import (
@@ -40,7 +41,7 @@ def reference_run(scenario, seed, router, kb):
     """The tick loop ``run_scenario`` ran before it recomputed per-link state
     only on change ticks: every tick rebuilds the demands, the snapshot, the
     congestion verdict and the loss excess from scratch. Returns the trace,
-    the metrics and the final flows."""
+    the metrics, the final flows and the adaptation state."""
     network = scenario.network
     threshold = scenario.threshold
     gp = replace(scenario.gp, threshold=threshold)
@@ -80,7 +81,12 @@ def reference_run(scenario, seed, router, kb):
         trace.append(TickRow(t, max(snapshot.util, default=0.0), congested, len(flows), state.invocation_count))
     metrics.packet_loss_proxy = packet_loss_proxy(excess_total, demand_total)
     metrics.planner_invocations = state.invocation_count
-    return trace, metrics, flows
+    return trace, metrics, flows, state
+
+
+def log_rows(state):
+    """The invocation records without their wall-clock times."""
+    return [(r.tick, r.max_util, r.generations, r.best_fitness, r.formula) for r in state.log]
 
 
 _MBPS = st.floats(0.0, 90.0, allow_nan=False).map(lambda x: x + 0.37)
@@ -121,11 +127,12 @@ def test_run_matches_per_tick_reference(scenario, router, seed, warm):
         return KnowledgeBase([Individual(parse_expr(EXAMPLE_FORMULA))] if warm else [])
 
     result = run_scenario(scenario, seed=seed, router=router, kb=kb())
-    trace, metrics, flows = reference_run(scenario, seed, router, kb())
+    trace, metrics, flows, state = reference_run(scenario, seed, router, kb())
     assert result.trace == trace
     fields = ("congestion_occurrences", "congestion_duration", "packet_loss_proxy", "planner_invocations")
     assert [getattr(result.metrics, f) for f in fields] == [getattr(metrics, f) for f in fields]
     assert result.flows == flows
+    assert log_rows(result.state) == log_rows(state)
 
 
 @pytest.fixture
@@ -247,6 +254,57 @@ class TestRunScenario:
     def test_unknown_router_rejected(self, fig1_scenario):
         with pytest.raises(ScenarioError, match="router"):
             run_scenario(fig1_scenario, router="rip")
+
+
+class TestKnowledgeBaseFile:
+    @staticmethod
+    def outcome(result):
+        m = result.metrics
+        return (
+            result.trace,
+            (m.congestion_occurrences, m.congestion_duration, m.packet_loss_proxy, m.planner_invocations),
+            result.flows,
+            log_rows(result.state),
+            result.kb,
+        )
+
+    def test_parsed_once_per_scenario(self, tmp_path, monkeypatch):
+        kb_file = tmp_path / "kb.txt"
+        kb_file.write_text(f"1.5 {EXAMPLE_FORMULA}\n1.9 ((dl / threshold) * util)\n")
+        scenario = load_scenario(scenario_path("mnp5_2"))
+        scenario.kb_path = str(kb_file)
+        imports = []
+        real = sim.import_kb
+
+        def counting(*args, **kwargs):
+            imports.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "import_kb", counting)
+        runs = [run_scenario(scenario, seed=seed, router="genadapt-reuse") for seed in range(3)]
+        assert len(imports) == 1
+        for seed, result in enumerate(runs):
+            assert result.metrics.planner_invocations >= 1
+            fresh = run_scenario(scenario, seed=seed, router="genadapt-reuse", kb=real(str(kb_file)))
+            assert self.outcome(result) == self.outcome(fresh)
+
+        # each run starts from its own individuals, which share the trees
+        a, b = scenario.knowledge_base(), scenario.knowledge_base()
+        assert a == b and a.provenance == "imported"
+        assert all(x is not y and x.expr is y.expr for x, y in zip(a.retained, b.retained))
+        assert len(imports) == 1
+
+        # another file is read afresh
+        other = tmp_path / "other.txt"
+        other.write_text("0.5 util\n")
+        scenario.kb_path = str(other)
+        assert [ind.expr for ind in scenario.knowledge_base().retained] == [parse_expr("util")]
+        assert len(imports) == 2
+
+    def test_unread_when_the_router_needs_none(self, fig1_scenario, monkeypatch):
+        fig1_scenario.kb_path = "no-such.kb"
+        monkeypatch.setattr(sim, "import_kb", None)  # any call would fail
+        assert run_scenario(fig1_scenario, router="genadapt").metrics.planner_invocations >= 1
 
 
 class TestScenarioFiles:
