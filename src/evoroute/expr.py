@@ -103,10 +103,43 @@ def to_weight(v: float) -> int:
     return max(1, math.floor(abs(v) + DIV_EPS))
 
 
+Walk = list[tuple[Expr, int, int, int]]
+_walks: dict[int, tuple[Expr, Walk]] = {}  # tree id -> (tree, walk), for recent trees
+
+
+def preorder(expr: Expr) -> Walk:
+    """One walk over the tree: its nodes in preorder, each as (subtree,
+    level, size, height). The root is level 1 and a leaf has height 1.
+
+    Selection draws the same parents again and again, so recent walks are
+    kept and shared (do not change the list). An entry holds its tree, so
+    no other tree can take its id."""
+    if id(expr) in _walks:
+        return _walks[id(expr)][1]
+    walk: Walk = [(expr, 1, 1, 1)]
+
+    def visit(i: int, node: BinOp, level: int) -> int:
+        # appends the children of the BinOp at walk[i] (a leaf needs no call)
+        below = level + 1
+        left, right = node.left, node.right
+        walk.append((left, below, 1, 1))
+        hl = visit(len(walk) - 1, left, below) if type(left) is BinOp else 1
+        walk.append((right, below, 1, 1))
+        hr = visit(len(walk) - 1, right, below) if type(right) is BinOp else 1
+        height = 1 + (hl if hl > hr else hr)
+        walk[i] = (node, level, len(walk) - i, height)
+        return height
+
+    if type(expr) is BinOp:
+        visit(0, expr, 1)
+    if len(_walks) >= 32:
+        _walks.clear()
+    _walks[id(expr)] = (expr, walk)
+    return walk
+
+
 def depth(expr: Expr) -> int:
-    if isinstance(expr, BinOp):
-        return 1 + max(depth(expr.left), depth(expr.right))
-    return 1
+    return preorder(expr)[0][3]
 
 
 def size(expr: Expr) -> int:
@@ -115,40 +148,36 @@ def size(expr: Expr) -> int:
     return 1
 
 
-def _nodes_preorder(expr: Expr, level: int, out: list[tuple[Expr, int]]) -> None:
-    out.append((expr, level))
-    if isinstance(expr, BinOp):
-        _nodes_preorder(expr.left, level + 1, out)
-        _nodes_preorder(expr.right, level + 1, out)
+def replace_subtree(
+    expr: Expr, index: int, replacement: Expr, height: int = 1, max_depth: float = math.inf
+) -> Expr | None:
+    """The tree with the preorder node at `index` swapped for `replacement`
+    (of the given height), or None when it would be deeper than max_depth.
 
-
-def nodes_with_levels(expr: Expr) -> list[tuple[Expr, int]]:
-    """Preorder (subtree, level-from-root) pairs; the root is level 1."""
-    out: list[tuple[Expr, int]] = []
-    _nodes_preorder(expr, 1, out)
-    return out
-
-
-def replace_subtree(expr: Expr, index: int, replacement: Expr) -> Expr:
-    """The tree with the preorder node at `index` swapped out.
-
-    Only the nodes on the path from the root to `index` are rebuilt; every
-    other subtree is shared with `expr`.
-    """
-    if not (0 <= index < size(expr)):
+    That depth is known before anything is built: a subtree at level l of
+    height h reaches depth l + h - 1, and only the replacement and the
+    off-path sibling of each node on the path can be deepest. Only the nodes
+    on the path are rebuilt; every other subtree is shared."""
+    walk = preorder(expr)
+    if not (0 <= index < len(walk)):
         raise ExprError(f"node index {index} out of range")
-
-    def rec(node: Expr, i: int) -> Expr:
-        if i == 0:
-            return replacement
-        # a node in range below the root: `node` is a BinOp whose left
-        # subtree holds preorder slots 1..size(left)
-        left_size = size(node.left)
-        if i <= left_size:
-            return BinOp(node.op, rec(node.left, i - 1), node.right)
-        return BinOp(node.op, node.left, rec(node.right, i - 1 - left_size))
-
-    return rec(expr, index)
+    deepest = walk[index][1] + height
+    path: list[tuple[BinOp, bool]] = []  # (ancestor, whether the path goes left)
+    i = 0
+    while i != index:
+        left = i + 1
+        right = left + walk[left][2]
+        went_left = index < right
+        path.append((walk[i][0], went_left))
+        _, level, _, sibling_height = walk[right if went_left else left]
+        deepest = max(deepest, level + sibling_height)
+        i = left if went_left else right
+    if deepest - 1 > max_depth:
+        return None
+    for node, went_left in reversed(path):
+        children = (replacement, node.right) if went_left else (node.left, replacement)
+        replacement = BinOp(node.op, *children)
+    return replacement
 
 
 def grow_random(
@@ -183,17 +212,15 @@ def crossover(
     A child whose depth would exceed max_depth is replaced by a copy of its
     parent (retry-free repair).
     """
-    nodes_a = nodes_with_levels(a)
-    nodes_b = nodes_with_levels(b)
-    ia = rng.randrange(len(nodes_a))
-    ib = rng.randrange(len(nodes_b))
-    child_a = replace_subtree(a, ia, nodes_b[ib][0])
-    child_b = replace_subtree(b, ib, nodes_a[ia][0])
-    if depth(child_a) > max_depth:
-        child_a = a
-    if depth(child_b) > max_depth:
-        child_b = b
-    return child_a, child_b
+    walk_a = preorder(a)
+    walk_b = preorder(b)
+    ia = rng.randrange(len(walk_a))
+    ib = rng.randrange(len(walk_b))
+    donor_a, _, _, height_a = walk_a[ia]
+    donor_b, _, _, height_b = walk_b[ib]
+    child_a = replace_subtree(a, ia, donor_b, height_b, max_depth)
+    child_b = replace_subtree(b, ib, donor_a, height_a, max_depth)
+    return a if child_a is None else child_a, b if child_b is None else child_b
 
 
 def mutate(
@@ -208,12 +235,10 @@ def mutate(
     The replacement is grown with a depth budget that keeps the whole tree
     within max_depth.
     """
-    nodes = nodes_with_levels(expr)
-    i = rng.randrange(len(nodes))
-    level = nodes[i][1]
-    budget = max(1, max_depth - level + 1)
-    replacement = grow_random(budget, rng, const_min, const_max)
-    return replace_subtree(expr, i, replacement)
+    walk = preorder(expr)
+    i = rng.randrange(len(walk))
+    budget = max(1, max_depth - walk[i][1] + 1)
+    return replace_subtree(expr, i, grow_random(budget, rng, const_min, const_max))
 
 
 def format_expr(expr: Expr) -> str:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import truediv
@@ -94,17 +93,6 @@ class Flow:
     path: tuple[int, ...]
 
 
-class LinkClasses(NamedTuple):
-    """Links grouped by their static (bw, dl) pair.
-
-    A named tuple, not a dataclass: a dataclass generates and compiles its
-    methods whenever the module is imported, several times the cost."""
-
-    pairs: tuple[tuple[float, float], ...]  # distinct pairs, in order of first appearance
-    of: tuple[int, ...]  # index into pairs, per link id
-    sizes: tuple[int, ...]  # number of links, per pair
-
-
 class Network:
     """A directed graph over dense integer node ids with dense link ids."""
 
@@ -123,20 +111,12 @@ class Network:
                 raise NetworkError(f"duplicate link for node pair {link.src}->{link.dst}")
             seen_pairs.add((link.src, link.dst))
         self.bws: tuple[float, ...] = tuple(link.bw for link in self.links)
-
-    @cached_property
-    def link_classes(self) -> LinkClasses:
-        """The links grouped by static (bw, dl); built on first use, since
-        only routing under a weight formula needs it."""
-        index: dict[tuple[float, float], int] = {}
-        of = tuple(index.setdefault((link.bw, link.dl), len(index)) for link in self.links)
-        counts = Counter(of)
-        return LinkClasses(tuple(index), of, tuple(counts[c] for c in range(len(index))))
+        self.dls: tuple[float, ...] = tuple(link.dl for link in self.links)
 
     @cached_property
     def in_links(self) -> tuple[list[tuple[int, int]], ...]:
         """Per node, the (link id, source node) of every link into it;
-        built on first use, like ``link_classes``."""
+        built on first use, since only routing needs it."""
         into: tuple[list[tuple[int, int]], ...] = tuple([] for _ in range(self.n_nodes))
         for link in self.links:
             into[link.dst].append((link.id, link.src))
@@ -240,19 +220,9 @@ def make_snapshot(
     return Snapshot(t, tuple(flows), tuple(link_utilizations(network, flows, bandwidths)))
 
 
-def _check_weights(network: Network, weights: Mapping[int, int] | Sequence[int]) -> None:
-    """Every link needs a weight of at least 1.
-
-    A sequence is indexed by link id and must cover exactly the network's
-    links; it is checked with ``len`` and ``min`` rather than a loop in
-    Python. A mapping is keyed by link id and may hold extra keys."""
-    if isinstance(weights, Mapping):
-        for link in network.links:
-            if link.id not in weights:
-                raise NetworkError(f"weight missing for link {link.id}")
-            if weights[link.id] < 1:
-                raise NetworkError(f"weight for link {link.id} must be >= 1")
-        return
+def _check_weights(network: Network, weights: Sequence[int]) -> None:
+    """Every link needs a weight of at least 1, and the weights, indexed by
+    link id, must cover exactly the links: ``len`` and ``min`` check it."""
     n_links = len(network.links)
     if len(weights) < n_links:
         raise NetworkError(f"weight missing for link {len(weights)}")
@@ -263,11 +233,11 @@ def _check_weights(network: Network, weights: Mapping[int, int] | Sequence[int])
 
 
 def shortest_weighted_path(
-    network: Network, weights: Mapping[int, int] | Sequence[int], src: int, dst: int
+    network: Network, weights: Sequence[int], src: int, dst: int
 ) -> tuple[int, ...] | None:
     """Minimum-total-weight directed path from src to dst as a tuple of link ids.
 
-    ``weights`` is a sequence indexed by link id or a mapping keyed by it.
+    ``weights`` is a sequence indexed by link id.
     Among equal-cost paths, returns the one with the lexicographically
     smallest node-id sequence, which makes routing deterministic. Returns
     None when dst is unreachable.
@@ -351,8 +321,8 @@ def mnp_topology(k: int, bw: float = 100.0, dl: float = 25.0) -> Network:
     return Network(next_node, links)
 
 
-def unit_weights(network: Network) -> dict[int, int]:
-    return {link.id: 1 for link in network.links}
+def unit_weights(network: Network) -> list[int]:
+    return [1] * len(network.links)
 
 
 def save_network(network: Network, path: str) -> None:

@@ -3,11 +3,10 @@ three-part fitness, and the generational search over weight formulas."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from itertools import starmap
 from random import Random
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .expr import (
     DEFAULT_CONST_MAX,
@@ -121,8 +120,8 @@ def formula_weigher(expr: Expr, threshold: float) -> Weigher:
     """The weight the formula gives a link of static (bw, dl) at a utilization.
 
     Evaluation is pure, so results are memoised on the exact (bw, dl, util)
-    input and each distinct input is evaluated once. Use one weigher per
-    weights computation: the memo lives as long as the weigher.
+    input and each distinct input is evaluated once, for as long as the
+    weigher lives.
     """
     memo: dict[tuple[float, float, float], int] = {}
 
@@ -136,25 +135,26 @@ def formula_weigher(expr: Expr, threshold: float) -> Weigher:
     return weigh
 
 
-def link_weights(network: Network, util: Sequence[float], weigh: Weigher) -> list[int]:
-    """Every link's weight under a weigher, indexed by link id.
+class LinkInputs(NamedTuple):
+    """Every link's formula input, for one utilization vector."""
 
-    Idle links (util exactly 0) take the weight of their (bw, dl) class at
-    util 0, evaluated once per class that has an idle link; loaded links are
-    weighed one by one. On a uniform graph that is one evaluation plus one
-    per distinct loaded link.
-    """
-    classes = network.link_classes
-    loaded = list(compress(range(len(util)), util))
-    busy = Counter(map(classes.of.__getitem__, loaded))
-    full = {c for c, n in busy.items() if n == classes.sizes[c]}
-    # a class whose links are all loaded gets a placeholder, overwritten below
-    idle = [0 if c in full else weigh(bw, dl, 0.0) for c, (bw, dl) in enumerate(classes.pairs)]
-    weights = list(map(idle.__getitem__, classes.of))
-    links = network.links
-    for e in loaded:
-        weights[e] = weigh(links[e].bw, links[e].dl, util[e])
-    return weights
+    util: Sequence[float]  # per link id
+    inputs: list[tuple[float, float, float]]  # the distinct (bw, dl, util) triples
+    of: list[int]  # per link id, its index into inputs
+
+
+def link_inputs(network: Network, util: Sequence[float]) -> LinkInputs:
+    """The links grouped by (bw, dl, util): on a uniform graph, idle links share one input."""
+    index: dict[tuple[float, float, float], int] = {}  # input -> its position
+    of = [index.setdefault(key, len(index)) for key in zip(network.bws, network.dls, util)]
+    return LinkInputs(util, list(index), of)
+
+
+def link_weights(table: LinkInputs, weigh: Weigher) -> list[int]:
+    """Every link's weight under a weigher, indexed by link id: one weighing
+    per distinct input."""
+    values = list(starmap(weigh, table.inputs))
+    return list(map(values.__getitem__, table.of))
 
 
 def compute_surrogate(
@@ -164,18 +164,20 @@ def compute_surrogate(
     bandwidths: Mapping[int, float],
     expr: Expr,
     threshold: float,
-    keep_util: Sequence[float] | None = None,
+    keep: LinkInputs | None = None,
 ) -> list[Flow]:
     """Re-route the bad flows one by one under the candidate formula.
 
-    Utilization starts from the kept flows only (``keep_util``, when the
-    caller has it already; it is copied, not changed); after each placement
+    Utilization starts from the kept flows only (``keep``, when the caller
+    has their link inputs already; it is not changed); after each placement
     but the last the weights of the links on the new path are refreshed. A
     flow whose destination is unreachable keeps its original path.
     """
-    util = link_utilizations(network, keep_flows, bandwidths) if keep_util is None else list(keep_util)
+    if keep is None:
+        keep = link_inputs(network, link_utilizations(network, keep_flows, bandwidths))
+    util = list(keep.util)
     weigh = formula_weigher(expr, threshold)
-    weights = link_weights(network, util, weigh)
+    weights = link_weights(keep, weigh)
     rerouted: list[Flow] = []
     for f in bad_flows:
         src, dst = network.path_endpoints(f.path)
@@ -228,9 +230,9 @@ def tournament_select(population: Sequence[Individual], k: int, rng: Random) -> 
         raise ValueError("tournament over an empty population")
     if k < 1 or k > len(population):
         raise ValueError(f"tournament size {k} invalid for population {len(population)}")
-    best = population[rng.randrange(len(population))]
+    best = rng.choice(population)
     for _ in range(k - 1):
-        challenger = population[rng.randrange(len(population))]
+        challenger = rng.choice(population)
         if challenger.fitness < best.fitness:
             best = challenger
     return best
@@ -272,7 +274,8 @@ def gen_plan(
     bad_flows = find_flows_causing_congestion(network, old_flows, bandwidths, config.threshold, rng)
     bad_ids = {f.request for f in bad_flows}
     keep_flows = [f for f in old_flows if f.request not in bad_ids]
-    keep_util = link_utilizations(network, keep_flows, bandwidths)
+    # the kept flows' link inputs are the same for every candidate
+    keep = link_inputs(network, link_utilizations(network, keep_flows, bandwidths))
 
     seeds = [Individual(ind.expr) for ind in best_sol[: config.population_size // 2]]
     population = seeds + [
@@ -299,7 +302,7 @@ def gen_plan(
         hit = scored.get(ind.expr)
         if hit is None:
             flows = compute_surrogate(
-                network, keep_flows, bad_flows, bandwidths, ind.expr, config.threshold, keep_util
+                network, keep_flows, bad_flows, bandwidths, ind.expr, config.threshold, keep
             )
             plan = tuple(f.path for f in flows[: len(bad_flows)])
             fitness = plans.get(plan)

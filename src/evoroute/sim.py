@@ -8,7 +8,7 @@ import os
 from dataclasses import dataclass, field, replace
 from operator import sub
 from random import Random
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .expr import DEFAULT_MAX_DEPTH
 from .loop import AdaptationState, KnowledgeBase, adapt_step, detect, import_kb
@@ -26,7 +26,7 @@ from .netmodel import (
     shortest_weighted_path,
     unit_weights,
 )
-from .planner import GpConfig, formula_weigher, link_weights
+from .planner import GpConfig, formula_weigher, link_inputs, link_weights
 
 ROUTERS = ("unit-ospf", "inverse-bw-ospf", "genadapt", "genadapt-reuse")
 
@@ -100,14 +100,14 @@ class RunResult:
     kb: KnowledgeBase
 
 
-def inverse_bw_weights(network: Network, reference: float = INVERSE_BW_REFERENCE) -> dict[int, int]:
+def inverse_bw_weights(network: Network, reference: float = INVERSE_BW_REFERENCE) -> list[int]:
     """Weights inversely proportional to link bandwidth: max(1, floor(C/bw))."""
-    return {link.id: max(1, math.floor(reference / link.bw)) for link in network.links}
+    return [max(1, math.floor(reference / bw)) for bw in network.bws]
 
 
 def route_request(
     network: Network,
-    weights: Mapping[int, int] | Sequence[int],
+    weights: Sequence[int],
     request: Request,
 ) -> Flow:
     """Create the flow for a newly arrived request under the given weights."""
@@ -148,8 +148,8 @@ def run_scenario(
         kb = scenario.knowledge_base() if router == "genadapt-reuse" else KnowledgeBase()
 
     adaptive = router in ("genadapt", "genadapt-reuse")
-    static = inverse_bw_weights(network) if router == "inverse-bw-ospf" else unit_weights(network)
-    baseline = [static[link.id] for link in network.links]
+    baseline = inverse_bw_weights(network) if router == "inverse-bw-ospf" else unit_weights(network)
+    weigh = None  # the active formula's weigher, kept until the next install
 
     rng = Random(seed)
     state = AdaptationState()
@@ -188,7 +188,8 @@ def run_scenario(
             req = pending.pop(0)
             if state.active_expr is not None:
                 util = link_utilizations(network, list(flows.values()), bandwidths) if stale else snapshot.util
-                weights = link_weights(network, util, formula_weigher(state.active_expr, threshold))
+                weigh = weigh or formula_weigher(state.active_expr, threshold)
+                weights = link_weights(link_inputs(network, util), weigh)
             else:
                 weights = baseline
             flows[req.id] = route_request(network, weights, req)
@@ -208,6 +209,7 @@ def run_scenario(
             if new_flows is not None:
                 flows = {f.request: f for f in new_flows}
                 installed = True
+                weigh = None
 
         if congested:
             metrics.congestion_duration += 1

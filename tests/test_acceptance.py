@@ -178,7 +178,7 @@ def test_criterion_5_oracles():
                     if src != dst and rng.random() < 0.5:
                         links.append(Link(len(links), src, dst, 100, 25))
             net = Network(n, links)
-            weights = {l.id: rng.randint(1, 9) for l in net.links}
+            weights = [rng.randint(1, 9) for l in net.links]
             src, dst = rng.sample(range(n), 2)
             assert shortest_weighted_path(net, weights, src, dst) == brute_force_shortest(
                 net, weights, src, dst

@@ -23,8 +23,8 @@ from evoroute.expr import (
     format_expr,
     grow_random,
     mutate,
-    nodes_with_levels,
     parse_expr,
+    preorder,
     replace_subtree,
     size,
     to_weight,
@@ -129,6 +129,18 @@ class TestCrossover:
         assert repaired > 0  # the repair path is exercised
 
 
+def reference_size(expr):
+    if isinstance(expr, BinOp):
+        return 1 + reference_size(expr.left) + reference_size(expr.right)
+    return 1
+
+
+def reference_depth(expr):
+    if isinstance(expr, BinOp):
+        return 1 + max(reference_depth(expr.left), reference_depth(expr.right))
+    return 1
+
+
 def reference_replace_subtree(expr, index, replacement):
     """Full-rebuild reference: every BinOp of the tree is built anew."""
 
@@ -136,7 +148,7 @@ def reference_replace_subtree(expr, index, replacement):
         i = counter[0]
         counter[0] += 1
         if i == index:
-            counter[0] += size(node) - 1  # skip the replaced subtree's slots
+            counter[0] += reference_size(node) - 1  # skip the replaced subtree's slots
             return replacement
         if isinstance(node, BinOp):
             left = rec(node.left, counter)
@@ -144,7 +156,7 @@ def reference_replace_subtree(expr, index, replacement):
             return BinOp(node.op, left, right)
         return node
 
-    if not (0 <= index < size(expr)):
+    if not (0 <= index < reference_size(expr)):
         raise ExprError(f"node index {index} out of range")
     return rec(expr, [0])
 
@@ -157,15 +169,108 @@ TREES = st.recursive(
 )
 
 
+def reference_nodes_with_levels(expr, level=1):
+    """Recursive preorder (subtree, level) pairs; the root is level 1."""
+    out = [(expr, level)]
+    if isinstance(expr, BinOp):
+        out += reference_nodes_with_levels(expr.left, level + 1)
+        out += reference_nodes_with_levels(expr.right, level + 1)
+    return out
+
+
+def reference_crossover(a, b, rng, max_depth=15):
+    """Crossover that builds both children, then measures their depth."""
+    nodes_a = reference_nodes_with_levels(a)
+    nodes_b = reference_nodes_with_levels(b)
+    ia = rng.randrange(len(nodes_a))
+    ib = rng.randrange(len(nodes_b))
+    child_a = reference_replace_subtree(a, ia, nodes_b[ib][0])
+    child_b = reference_replace_subtree(b, ib, nodes_a[ia][0])
+    if reference_depth(child_a) > max_depth:
+        child_a = a
+    if reference_depth(child_b) > max_depth:
+        child_b = b
+    return child_a, child_b
+
+
+def reference_mutate(expr, rng, max_depth=15):
+    nodes = reference_nodes_with_levels(expr)
+    i = rng.randrange(len(nodes))
+    replacement = grow_random(max(1, max_depth - nodes[i][1] + 1), rng)
+    return reference_replace_subtree(expr, i, replacement)
+
+
+# random trees of any shape, and the grow method's trees up to the depth bound
+GP_TREES = st.one_of(TREES, st.tuples(st.integers(1, 15), st.integers(0, 10**9)).map(
+    lambda args: grow_random(args[0], random.Random(args[1]))
+))
+
+
+class TestPreorder:
+    @given(TREES)
+    def test_one_walk_matches_per_node_measures(self, expr):
+        walk = preorder(expr)
+        pairs = reference_nodes_with_levels(expr)
+        assert len(walk) == len(pairs)
+        for (node, level, n, height), (ref_node, ref_level) in zip(walk, pairs):
+            assert node is ref_node and level == ref_level
+            assert (n, height) == (reference_size(node), reference_depth(node))
+        assert (size(expr), depth(expr)) == (reference_size(expr), reference_depth(expr))
+
+    def test_recent_walks_are_each_trees_own(self):
+        # equal trees built apart, and trees dropped so that ids come free:
+        # a walk served from the recent ones must list this tree's own nodes
+        for seed in list(range(100)) * 2:
+            expr = grow_random(6, random.Random(seed))
+            refs = [node for node, _ in reference_nodes_with_levels(expr)]
+            for _ in range(2):
+                assert all(node is ref for (node, *_), ref in zip(preorder(expr), refs))
+        assert preorder(expr) is preorder(expr)
+
+
+class TestOperatorsMatchReference:
+    """The operators pick, check and rebuild from one walk of each parent;
+    the reference builds each child and then measures it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(GP_TREES, GP_TREES, st.booleans(), st.integers(0, 10**9), st.integers(1, 15))
+    def test_crossover(self, a, b, self_cross, seed, max_depth):
+        if self_cross:  # tournaments often pick one parent twice
+            b = a
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert crossover(a, b, rng, max_depth) == reference_crossover(a, b, ref_rng, max_depth)
+        assert rng.getstate() == ref_rng.getstate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(GP_TREES, st.integers(0, 10**9), st.integers(1, 15))
+    def test_mutate(self, expr, seed, max_depth):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert mutate(expr, rng, max_depth) == reference_mutate(expr, ref_rng, max_depth)
+        assert rng.getstate() == ref_rng.getstate()
+
+    def test_depth_repair_cases_match(self):
+        # deep parents and small bounds: many children are repaired, and the
+        # repair must pick the same ones
+        rng = random.Random(9)
+        repaired = 0
+        for seed in range(400):
+            a, b = grow_random(15, rng), grow_random(15, rng)
+            max_depth = 1 + seed % 15
+            got = crossover(a, b, random.Random(seed), max_depth)
+            assert got == reference_crossover(a, b, random.Random(seed), max_depth)
+            repaired += (got[0] is a) + (got[1] is b)
+        assert repaired > 100
+
+
 class TestReplaceSubtree:
     @settings(max_examples=200, deadline=None)
     @given(TREES, TREES)
     def test_matches_full_rebuild_and_shares_untouched_subtrees(self, expr, replacement):
-        before = [node for node, _ in nodes_with_levels(expr)]
+        before = [node for node, *_ in preorder(expr)]
         for index, old in enumerate(before):
             got = replace_subtree(expr, index, replacement)
             assert got == reference_replace_subtree(expr, index, replacement)
-            after = [node for node, _ in nodes_with_levels(got)]
+            after = [node for node, *_ in preorder(got)]
             shift = size(replacement) - size(old)
             assert after[index] is replacement
             for j, node in enumerate(before):

@@ -119,15 +119,11 @@ class TestBasics:
         with pytest.raises(NetworkError):
             Network(2, [Link(1, 0, 1, 100, 25)])
 
-    def test_link_classes(self):
-        links = [Link(0, 0, 1, 100.0, 25.0), Link(1, 1, 0, 50.0, 25.0), Link(2, 1, 2, 100.0, 25.0)]
+    def test_static_link_vectors(self):
+        links = [Link(0, 0, 1, 100.0, 25.0), Link(1, 1, 0, 50.0, 25.0), Link(2, 1, 2, 100.0, 5.0)]
         net = Network(3, links)
-        classes = net.link_classes
-        assert classes.pairs == ((100.0, 25.0), (50.0, 25.0))
-        assert classes.of == (0, 1, 0)
-        assert classes.sizes == (2, 1)
-        assert net.link_classes is classes
         assert net.bws == (100.0, 50.0, 100.0)
+        assert net.dls == (25.0, 25.0, 5.0)
 
     def test_adjacency_built_on_first_use(self):
         net = Network(3, [Link(0, 2, 0, 100.0, 25.0), Link(1, 0, 2, 100.0, 25.0), Link(2, 0, 1, 100.0, 25.0)])
@@ -191,15 +187,11 @@ class TestShortestPath:
 
     def test_unreachable(self):
         net = Network(3, [Link(0, 0, 1, 100, 25)])
-        assert shortest_weighted_path(net, {0: 1}, 0, 2) is None
+        assert shortest_weighted_path(net, [1], 0, 2) is None
 
     def test_same_node_rejected(self, fig1):
         with pytest.raises(NetworkError):
             shortest_weighted_path(fig1, unit_weights(fig1), 1, 1)
-
-    def test_missing_weight(self, fig1):
-        with pytest.raises(NetworkError):
-            shortest_weighted_path(fig1, {0: 1}, 0, 1)
 
     def test_list_weights(self, fig1):
         weights = [1] * len(fig1.links)
@@ -217,12 +209,6 @@ class TestShortestPath:
 
     def test_zero_weight_in_list_rejected(self, fig1):
         weights = [1] * 12
-        weights[5] = 0
-        with pytest.raises(NetworkError, match="link 5 must be >= 1"):
-            shortest_weighted_path(fig1, weights, 0, 1)
-
-    def test_zero_weight_in_mapping_rejected(self, fig1):
-        weights = unit_weights(fig1)
         weights[5] = 0
         with pytest.raises(NetworkError, match="link 5 must be >= 1"):
             shortest_weighted_path(fig1, weights, 0, 1)
@@ -250,11 +236,10 @@ class TestShortestPath:
                     if src != dst and rng.random() < 0.5:
                         links.append(Link(len(links), src, dst, 100, 25))
             net = Network(n, links)
-            weights = {l.id: rng.randint(1, 9) for l in net.links}
+            weights = [rng.randint(1, 9) for l in net.links]
             src, dst = rng.sample(range(n), 2)
             expected = brute_force_shortest(net, weights, src, dst)
             assert shortest_weighted_path(net, weights, src, dst) == expected
-            assert shortest_weighted_path(net, list(weights.values()), src, dst) == expected
 
 
 @st.composite
@@ -276,7 +261,6 @@ def test_shortest_path_matches_brute_force(case):
     net, weights, src, dst = case
     expected = brute_force_shortest(net, weights, src, dst)
     assert shortest_weighted_path(net, weights, src, dst) == expected
-    assert shortest_weighted_path(net, dict(enumerate(weights)), src, dst) == expected
 
 
 def _assert_matches_reference(net, weights, pairs):
@@ -301,7 +285,7 @@ def test_dense_graphs_match_reference(n, spread):
 @pytest.mark.parametrize("seed", range(4))
 def test_loaded_networks_match_reference(tmp_path, seed):
     """Networks read from files whose link ids follow no order of
-    destination (nor of source), with weights keyed by those ids."""
+    destination (nor of source), with weights indexed by those ids."""
     rng = random.Random(seed)
     n = 12
     pairs = [(s, d) for s in range(n) for d in range(n) if s != d and rng.random() < 0.4]
@@ -313,7 +297,7 @@ def test_loaded_networks_match_reference(tmp_path, seed):
     net = load_network(str(path))
     assert [link.dst for link in net.links] != sorted(link.dst for link in net.links)
     for spread in (1, 3, 50):
-        weights = {link.id: rng.randint(1, spread) for link in net.links}
+        weights = [rng.randint(1, spread) for link in net.links]
         _assert_matches_reference(net, weights, [(s, d) for s in range(n) for d in range(n) if s != d])
 
 

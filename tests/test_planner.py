@@ -29,6 +29,7 @@ from evoroute.planner import (
     formula_weigher,
     gen_plan,
     lcs_distance,
+    link_inputs,
     link_weights,
     normalize,
     tournament_select,
@@ -180,7 +181,7 @@ def reference_surrogate(network, keep_flows, bad_flows, bandwidths, expr, thresh
     """The re-route that also weighs the last placed flow's links."""
     util = link_utilizations(network, keep_flows, bandwidths)
     weigh = formula_weigher(expr, threshold)
-    weights = link_weights(network, util, weigh)
+    weights = link_weights(link_inputs(network, util), weigh)
     rerouted = []
     for f in bad_flows:
         src, dst = network.path_endpoints(f.path)
@@ -353,7 +354,8 @@ def reference_weights(network, util, expr, threshold):
 def weighted_networks(draw):
     """A complete graph whose links are uniform, drawn from a few (bw, dl)
     classes, or each drawn apart; utilizations are 0 or drawn from a few
-    values, so that inputs repeat, or all drawn apart."""
+    values, so that inputs repeat, none of them 0 (every class fully
+    loaded), or all drawn apart."""
     n = draw(st.integers(min_value=2, max_value=6))
     n_links = n * (n - 1)
     kind = draw(st.sampled_from(["uniform", "classes", "heterogeneous"]))
@@ -367,11 +369,12 @@ def weighted_networks(draw):
         statics = draw(st.lists(st.tuples(value, value), min_size=n_links, max_size=n_links))
     pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
     net = Network(n, [Link(i, s, d, bw, dl) for i, ((s, d), (bw, dl)) in enumerate(zip(pairs, statics))])
-    loads = draw(st.sampled_from(["idle", "repeated", "distinct"]))
+    loads = draw(st.sampled_from(["idle", "repeated", "loaded", "distinct"]))
     if loads == "idle":
         util = [0.0] * n_links
-    elif loads == "repeated":
-        util = draw(st.lists(st.sampled_from([0.0, 0.3, 0.9, 1.5]), min_size=n_links, max_size=n_links))
+    elif loads in ("repeated", "loaded"):
+        levels = [0.3, 0.9, 1.5] if loads == "loaded" else [0.0, 0.3, 0.9, 1.5]
+        util = draw(st.lists(st.sampled_from(levels), min_size=n_links, max_size=n_links))
     else:
         util = draw(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=n_links, max_size=n_links))
     return net, util
@@ -383,9 +386,19 @@ class TestLinkWeights:
     def test_equals_per_link_evaluation(self, net_util, seed, max_depth):
         net, util = net_util
         expr = grow_random(max_depth, random.Random(seed))
-        got = link_weights(net, util, formula_weigher(expr, 0.8))
+        weigh = formula_weigher(expr, 0.8)
+        weighed = []
+
+        def recording(*key):
+            weighed.append(key)
+            return weigh(*key)
+
+        got = link_weights(link_inputs(net, util), recording)
         assert got == reference_weights(net, util, expr, 0.8)
         assert all(type(w) is int for w in got)
+        # each input some link has is weighed once, and no other input is
+        inputs = {(link.bw, link.dl, util[link.id]) for link in net.links}
+        assert sorted(weighed) == sorted(inputs)
 
     def test_one_evaluation_per_distinct_input(self, example_expr, monkeypatch):
         inputs = []
@@ -400,11 +413,11 @@ class TestLinkWeights:
         util = [0.0] * 20
         util[3] = util[7] = 0.5
         util[9] = 0.25
-        link_weights(net, util, formula_weigher(example_expr, 0.8))
+        link_weights(link_inputs(net, util), formula_weigher(example_expr, 0.8))
         assert sorted(inputs) == [(100.0, 25.0, 0.0), (100.0, 25.0, 0.25), (100.0, 25.0, 0.5)]
 
         inputs.clear()  # no idle link: the class is never weighed at util 0
-        link_weights(net, [0.5] * 20, formula_weigher(example_expr, 0.8))
+        link_weights(link_inputs(net, [0.5] * 20), formula_weigher(example_expr, 0.8))
         assert inputs == [(100.0, 25.0, 0.5)]
 
 

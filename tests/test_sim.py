@@ -21,7 +21,7 @@ from evoroute.netmodel import (
     mnp_topology,
     unit_weights,
 )
-from evoroute.planner import GpConfig, Individual, formula_weigher, link_weights
+from evoroute.planner import GpConfig, Individual, formula_weigher, link_inputs, link_weights
 from evoroute.sim import (
     MetricsRecord,
     Scenario,
@@ -63,7 +63,7 @@ def reference_run(scenario, seed, router, kb):
             weights = baseline
             if state.active_expr is not None:
                 util = link_utilizations(network, list(flows.values()), bandwidths)
-                weights = link_weights(network, util, formula_weigher(state.active_expr, threshold))
+                weights = link_weights(link_inputs(network, util), formula_weigher(state.active_expr, threshold))
             flows[req.id] = route_request(network, weights, req)
         snapshot = make_snapshot(network, t, list(flows.values()), bandwidths)
         congested = detect(snapshot, threshold)
@@ -156,18 +156,18 @@ class TestInverseBwWeights:
     def test_uniform_hundreds(self):
         net = full_topology(3, bw=100.0)
         weights = inverse_bw_weights(net)
-        assert set(weights.values()) == {1000}
+        assert set(weights) == {1000}
 
     def test_inverse_proportionality(self):
         from evoroute.netmodel import Link, Network
 
         net = Network(2, [Link(0, 0, 1, 100.0, 25.0), Link(1, 1, 0, 50.0, 25.0)])
         weights = inverse_bw_weights(net)
-        assert weights == {0: 1000, 1: 2000}
+        assert weights == [1000, 2000]
 
     def test_huge_bandwidth_clamps(self):
         net = full_topology(2, bw=2e5)
-        assert set(inverse_bw_weights(net).values()) == {1}
+        assert set(inverse_bw_weights(net)) == {1}
 
 
 class TestPacketLoss:
