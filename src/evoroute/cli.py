@@ -42,16 +42,13 @@ def _parse_seeds(text: str) -> list[int]:
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     kb = import_kb(args.kb, max_depth=scenario.gp.max_depth) if args.kb else None
-    router = args.router or scenario.router
-    if kb is not None and router == "genadapt":
-        router = "genadapt-reuse"
-    result = run_scenario(scenario, seed=args.seed, router=router, kb=kb)
+    result = run_scenario(scenario, seed=args.seed, router=args.router, kb=kb)
     os.makedirs(args.out, exist_ok=True)
     write_trace_csv(result.trace, os.path.join(args.out, "trace.csv"))
     write_metrics_csv(result.metrics, os.path.join(args.out, "metrics.csv"))
     write_invocations_csv(result.state, os.path.join(args.out, "invocations.csv"))
     if args.kb_out:
-        export_kb(result.kb, args.kb_out)
+        export_kb(result.state.retained, args.kb_out)
     m = result.metrics
     print(
         f"run complete: occurrences={m.congestion_occurrences} "
@@ -74,9 +71,7 @@ def cmd_compare(args) -> int:
     rows: list[tuple[str, int, MetricsRecord]] = []
     for router in routers:
         for seed in seeds:
-            run_kb = None
-            if kb is not None and router == "genadapt-reuse":
-                run_kb = import_kb(args.kb, max_depth=scenario.gp.max_depth)
+            run_kb = kb if router == "genadapt-reuse" else None
             try:
                 result = run_scenario(scenario, seed=seed, router=router, kb=run_kb)
             except Exception as exc:
@@ -118,15 +113,16 @@ def cmd_transfer(args) -> int:
     if args.transfer_cmd == "export":
         scenario = load_scenario(args.scenario)
         result = run_scenario(scenario, seed=args.seed, router="genadapt")
-        if not result.kb.retained:
+        retained = result.state.retained
+        if not retained:
             print("no adaptation happened; nothing to export", file=sys.stderr)
             return EXIT_RUNTIME
-        export_kb(result.kb, args.out)
-        print(f"exported {len(result.kb.retained)} formulas to {args.out}")
+        export_kb(retained, args.out)
+        print(f"exported {len(retained)} formulas to {args.out}")
         return EXIT_OK
     kb = import_kb(args.kb)
-    print(f"{len(kb.retained)} formulas accepted")
-    if not kb.retained:
+    print(f"{len(kb)} formulas accepted")
+    if not kb:
         print("warning: knowledge base is empty", file=sys.stderr)
     return EXIT_OK
 
@@ -150,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--router", choices=ROUTERS)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--kb", help="knowledge-base file to bootstrap the planner")
+    p_run.add_argument("--kb", help="knowledge-base file to warm-start an adaptive router")
     p_run.add_argument("--kb-out", help="export the final knowledge base here")
     p_run.set_defaults(func=cmd_run)
 
@@ -159,7 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--out", required=True)
     p_cmp.add_argument("--routers", default="unit-ospf,genadapt")
     p_cmp.add_argument("--seeds", default="0-29")
-    p_cmp.add_argument("--kb")
+    p_cmp.add_argument(
+        "--kb",
+        help="knowledge-base file for the genadapt-reuse runs; genadapt runs start cold",
+    )
     p_cmp.set_defaults(func=cmd_compare)
 
     p_tr = sub.add_parser("transfer", help="export or import a knowledge base")

@@ -22,8 +22,9 @@ DIV_EPS = 1e-9
 VALUE_CAP = 1e12
 
 DEFAULT_MAX_DEPTH = 15
-DEFAULT_CONST_MIN = 0.0
-DEFAULT_CONST_MAX = 100.0
+# random constant leaves are drawn uniformly from [CONST_MIN, CONST_MAX]
+CONST_MIN = 0.0
+CONST_MAX = 100.0
 
 
 # Trees and contexts are named tuples, not frozen dataclasses: hashing,
@@ -180,12 +181,7 @@ def replace_subtree(
     return replacement
 
 
-def grow_random(
-    max_depth: int,
-    rng: Random,
-    const_min: float = DEFAULT_CONST_MIN,
-    const_max: float = DEFAULT_CONST_MAX,
-) -> Expr:
+def grow_random(max_depth: int, rng: Random) -> Expr:
     """Random grammar-valid tree of depth <= max_depth (grow method).
 
     At the depth limit only leaves are drawn; otherwise leaf/internal is an
@@ -196,11 +192,11 @@ def grow_random(
     if max_depth == 1 or rng.random() < 0.5:
         kind = rng.randrange(5)
         if kind == 0:
-            return Const(rng.uniform(const_min, const_max))
+            return Const(rng.uniform(CONST_MIN, CONST_MAX))
         return Var(VAR_NAMES[kind - 1])
     op = OPS[rng.randrange(4)]
-    left = grow_random(max_depth - 1, rng, const_min, const_max)
-    right = grow_random(max_depth - 1, rng, const_min, const_max)
+    left = grow_random(max_depth - 1, rng)
+    right = grow_random(max_depth - 1, rng)
     return BinOp(op, left, right)
 
 
@@ -223,13 +219,7 @@ def crossover(
     return a if child_a is None else child_a, b if child_b is None else child_b
 
 
-def mutate(
-    expr: Expr,
-    rng: Random,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    const_min: float = DEFAULT_CONST_MIN,
-    const_max: float = DEFAULT_CONST_MAX,
-) -> Expr:
+def mutate(expr: Expr, rng: Random, max_depth: int = DEFAULT_MAX_DEPTH) -> Expr:
     """One-point mutation: regrow one uniformly chosen subtree.
 
     The replacement is grown with a depth budget that keeps the whole tree
@@ -238,7 +228,7 @@ def mutate(
     walk = preorder(expr)
     i = rng.randrange(len(walk))
     budget = max(1, max_depth - walk[i][1] + 1)
-    return replace_subtree(expr, i, grow_random(budget, rng, const_min, const_max))
+    return replace_subtree(expr, i, grow_random(budget, rng))
 
 
 def format_expr(expr: Expr) -> str:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from random import Random
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .expr import depth, format_expr, parse_expr
 from .netmodel import Flow, Network, Snapshot
@@ -16,14 +16,6 @@ from .planner import GpConfig, Individual, PlanResult, gen_plan
 
 class KbImportError(ValueError):
     pass
-
-
-@dataclass
-class KnowledgeBase:
-    """Best formulas from earlier planning rounds, ascending by fitness."""
-
-    retained: list[Individual] = field(default_factory=list)
-    provenance: str = "this-run"
 
 
 @dataclass
@@ -43,6 +35,9 @@ class AdaptationState:
     active_expr: object = None  # Expr or None (None = baseline unit weights)
     invocation_count: int = 0
     log: list[InvocationRecord] = field(default_factory=list)
+    # the knowledge base: the best formulas of the last planning round,
+    # ascending by fitness, that seed the next round
+    retained: list[Individual] = field(default_factory=list)
 
 
 def detect(snapshot: Snapshot, threshold: float) -> bool:
@@ -54,7 +49,6 @@ def adapt_step(
     network: Network,
     snapshot: Snapshot,
     bandwidths: Mapping[int, float],
-    kb: KnowledgeBase,
     state: AdaptationState,
     config: GpConfig,
     rng: Random,
@@ -62,14 +56,14 @@ def adapt_step(
     """One tick of the loop: plan and install a new formula when congested.
 
     Returns the re-routed flow set to apply atomically, or None when no
-    adaptation was needed. The knowledge base is replaced with the top half
-    of the planner's final population.
+    adaptation was needed. The retained formulas are replaced with the top
+    half of the planner's final population.
     """
     if not detect(snapshot, config.threshold):
         return None
     start = time.perf_counter()
     result: PlanResult = gen_plan(
-        network, list(snapshot.flows), bandwidths, kb.retained, config, rng
+        network, list(snapshot.flows), bandwidths, state.retained, config, rng
     )
     wall_ms = (time.perf_counter() - start) * 1000.0
     state.active_expr = result.best.expr
@@ -84,22 +78,21 @@ def adapt_step(
             formula=format_expr(result.best.expr),
         )
     )
-    kb.retained = [ind.copy() for ind in result.retained]
-    kb.provenance = "this-run"
+    state.retained = result.retained
     return result.new_flows
 
 
-def export_kb(kb: KnowledgeBase, path: str) -> None:
+def export_kb(retained: Sequence[Individual], path: str) -> None:
     """Write one `<fitness> <formula>` line per retained individual."""
-    if not kb.retained:
+    if not retained:
         raise KbImportError("refusing to export an empty knowledge base")
     with open(path, "w") as fh:
-        for ind in kb.retained:
+        for ind in retained:
             fitness = ind.fitness if ind.fitness is not None else 0.0
             fh.write(f"{fitness:.6f} {format_expr(ind.expr)}\n")
 
 
-def import_kb(path: str, max_depth: int = 15) -> KnowledgeBase:
+def import_kb(path: str, max_depth: int = 15) -> list[Individual]:
     """Read a formula file; every formula is re-validated against the grammar
     and depth bound, and fitness is treated as unevaluated."""
     retained: list[Individual] = []
@@ -124,4 +117,4 @@ def import_kb(path: str, max_depth: int = 15) -> KnowledgeBase:
                     f"line {lineno}: formula depth {depth(expr)} exceeds bound {max_depth}"
                 )
             retained.append(Individual(expr, None))
-    return KnowledgeBase(retained=retained, provenance="imported")
+    return retained

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import truediv
 from typing import Mapping, NamedTuple, Sequence
@@ -133,10 +133,6 @@ class Network:
             pairs.sort()
         return out
 
-    @property
-    def nodes(self) -> range:
-        return range(self.n_nodes)
-
     def link(self, link_id: int) -> Link:
         if not (0 <= link_id < len(self.links)):
             raise NetworkError(f"unknown link id {link_id}")
@@ -184,13 +180,6 @@ def throughput(
     return sum(bandwidths[f.request] for f in flows if link_id in f.path)
 
 
-def link_utilization(thr: float, bw: float) -> float:
-    """Utilization fraction throughput/bw; may exceed 1.0 under over-capacity demand."""
-    if bw <= 0:
-        raise NetworkError(f"bandwidth must be positive, got {bw}")
-    return thr / bw
-
-
 def link_throughputs(
     network: Network, flows: Sequence[Flow], bandwidths: Mapping[int, float]
 ) -> list[float]:
@@ -207,10 +196,9 @@ def link_throughputs(
 def link_utilizations(
     network: Network, flows: Sequence[Flow], bandwidths: Mapping[int, float]
 ) -> list[float]:
-    """Per-link utilization fractions computed from the given flows.
-
-    Every link's bandwidth is positive (``Link`` checks it), so this is
-    ``link_utilization`` for each link without the per-link check."""
+    """Per-link utilization fractions throughput/bw computed from the given
+    flows; a fraction may exceed 1.0 under over-capacity demand. Every
+    link's bandwidth is positive: ``Link`` checks it."""
     return list(map(truediv, link_throughputs(network, flows, bandwidths), network.bws))
 
 

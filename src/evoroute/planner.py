@@ -9,8 +9,6 @@ from random import Random
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .expr import (
-    DEFAULT_CONST_MAX,
-    DEFAULT_CONST_MIN,
     DEFAULT_MAX_DEPTH,
     EvalContext,
     Expr,
@@ -40,8 +38,6 @@ class GpConfig:
     tournament_size: int = 7
     max_depth: int = DEFAULT_MAX_DEPTH
     threshold: float = 0.8
-    const_min: float = DEFAULT_CONST_MIN
-    const_max: float = DEFAULT_CONST_MAX
     early_stop_fitness: float = 2.0
 
 
@@ -178,6 +174,7 @@ def compute_surrogate(
     util = list(keep.util)
     weigh = formula_weigher(expr, threshold)
     weights = link_weights(keep, weigh)
+    bws, dls = network.bws, network.dls
     rerouted: list[Flow] = []
     for f in bad_flows:
         src, dst = network.path_endpoints(f.path)
@@ -189,9 +186,9 @@ def compute_surrogate(
             break  # nothing is routed after the last flow: its load goes unweighed
         bd = bandwidths[f.request]
         for e in path:
-            link = network.link(e)
-            util[e] += bd / link.bw
-            weights[e] = weigh(link.bw, link.dl, util[e])
+            bw = bws[e]
+            util[e] += bd / bw
+            weights[e] = weigh(bw, dls[e], util[e])
     return rerouted + list(keep_flows)
 
 
@@ -220,7 +217,8 @@ def evaluate_plan(
     fit2 = sum(
         lcs_distance(old_by_req[r].path, new_by_req[r].path) for r in old_by_req
     )
-    fit3 = sum(network.link(e).dl for f in new_flows for e in f.path)
+    dls = network.dls
+    fit3 = sum(dls[e] for f in new_flows for e in f.path)
     return normalize(fit2) + normalize(fit3)
 
 
@@ -249,7 +247,7 @@ def _breed(population: list[Individual], config: GpConfig, rng: Random) -> list[
             c1, c2 = p1.expr, p2.expr
         for child in (c1, c2):
             if rng.random() < config.mutation_rate:
-                child = mutate(child, rng, config.max_depth, config.const_min, config.const_max)
+                child = mutate(child, rng, config.max_depth)
             offspring.append(Individual(child))
     return offspring[: config.population_size]
 
@@ -279,7 +277,7 @@ def gen_plan(
 
     seeds = [Individual(ind.expr) for ind in best_sol[: config.population_size // 2]]
     population = seeds + [
-        Individual(grow_random(config.max_depth, rng, config.const_min, config.const_max))
+        Individual(grow_random(config.max_depth, rng))
         for _ in range(config.population_size - len(seeds))
     ]
     initial = [ind.expr for ind in population]

@@ -11,9 +11,8 @@ from random import Random
 from typing import Sequence
 
 from .expr import DEFAULT_MAX_DEPTH
-from .loop import AdaptationState, KnowledgeBase, adapt_step, detect, import_kb
+from .loop import AdaptationState, adapt_step, detect, import_kb
 from .netmodel import (
-    ConfigError,
     Flow,
     Network,
     Request,
@@ -26,7 +25,7 @@ from .netmodel import (
     shortest_weighted_path,
     unit_weights,
 )
-from .planner import GpConfig, formula_weigher, link_inputs, link_weights
+from .planner import GpConfig, Individual, formula_weigher, link_inputs, link_weights
 
 ROUTERS = ("unit-ospf", "inverse-bw-ospf", "genadapt", "genadapt-reuse")
 
@@ -47,8 +46,8 @@ class Scenario:
     gp: GpConfig = field(default_factory=GpConfig)
     seed: int = 0
     kb_path: str | None = None
-    # (kb_path, max_depth) and the knowledge base parsed from them
-    _kb: tuple[tuple[str, int], KnowledgeBase] | None = field(
+    # (kb_path, max_depth) and the formulas parsed from them
+    _kb: tuple[tuple[str, int], list[Individual]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -58,19 +57,17 @@ class Scenario:
         last = max((r.arrival for r in self.requests), default=0.0)
         return int(math.ceil(last)) + 10
 
-    def knowledge_base(self) -> KnowledgeBase:
-        """A new knowledge base holding the formulas of ``kb_path``.
+    def knowledge_base(self) -> list[Individual]:
+        """The formulas of ``kb_path``, read and parsed on first use only.
 
-        The file is read and parsed on first use only. Each call returns
-        copies of the parsed individuals, which share their immutable trees.
+        The parsed list itself is returned: ``run_scenario`` copies it.
         """
         if self.kb_path is None:
             raise ScenarioError("kb: genadapt-reuse requires a knowledge-base file")
         key = (self.kb_path, self.gp.max_depth)
         if self._kb is None or self._kb[0] != key:
             self._kb = (key, import_kb(self.kb_path, max_depth=self.gp.max_depth))
-        parsed = self._kb[1]
-        return KnowledgeBase([ind.copy() for ind in parsed.retained], parsed.provenance)
+        return self._kb[1]
 
 
 @dataclass
@@ -79,7 +76,6 @@ class MetricsRecord:
     congestion_duration: int = 0  # seconds (ticks) spent congested
     packet_loss_proxy: float = 0.0
     planner_invocations: int = 0
-    wallclock_ms: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -97,7 +93,6 @@ class RunResult:
     trace: list[TickRow]
     flows: dict[int, Flow]  # request id -> final flow
     state: AdaptationState
-    kb: KnowledgeBase
 
 
 def inverse_bw_weights(network: Network, reference: float = INVERSE_BW_REFERENCE) -> list[int]:
@@ -132,9 +127,15 @@ def run_scenario(
     scenario: Scenario,
     seed: int | None = None,
     router: str | None = None,
-    kb: KnowledgeBase | None = None,
+    kb: Sequence[Individual] | None = None,
 ) -> RunResult:
-    """Execute a scenario tick by tick; optional overrides for batch runs."""
+    """Execute a scenario tick by tick; optional overrides for batch runs.
+
+    The planner starts from copies of ``kb`` when given, else from the
+    scenario's knowledge base under ``genadapt-reuse`` and from none under
+    the other routers; the caller's formulas are never changed. The final
+    formulas are on ``result.state.retained``.
+    """
     router = router or scenario.router
     if router not in ROUTERS:
         raise ScenarioError(f"router: unknown value {router!r}")
@@ -145,14 +146,14 @@ def run_scenario(
     gp = replace(scenario.gp, threshold=threshold)
 
     if kb is None:
-        kb = scenario.knowledge_base() if router == "genadapt-reuse" else KnowledgeBase()
+        kb = scenario.knowledge_base() if router == "genadapt-reuse" else []
 
     adaptive = router in ("genadapt", "genadapt-reuse")
     baseline = inverse_bw_weights(network) if router == "inverse-bw-ospf" else unit_weights(network)
     weigh = None  # the active formula's weigher, kept until the next install
 
     rng = Random(seed)
-    state = AdaptationState()
+    state = AdaptationState(retained=[ind.copy() for ind in kb])
     flows: dict[int, Flow] = {}
     pending = sorted(scenario.requests, key=lambda r: (r.arrival, r.id))
     metrics = MetricsRecord()
@@ -205,7 +206,7 @@ def run_scenario(
             # the snapshot is this tick's: congestion starts only on a tick
             # that rebuilt it, and a plan (always returned here) marks the
             # next tick stale, so every planning tick is a rebuilding one
-            new_flows = adapt_step(network, snapshot, bandwidths, kb, state, gp, rng)
+            new_flows = adapt_step(network, snapshot, bandwidths, state, gp, rng)
             if new_flows is not None:
                 flows = {f.request: f for f in new_flows}
                 installed = True
@@ -241,8 +242,7 @@ def run_scenario(
 
     metrics.packet_loss_proxy = packet_loss_proxy(excess_total, demand_total)
     metrics.planner_invocations = state.invocation_count
-    metrics.wallclock_ms = [rec.wallclock_ms for rec in state.log]
-    return RunResult(metrics, trace, flows, state, kb)
+    return RunResult(metrics, trace, flows, state)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from test_netmodel import brute_force_shortest
 from test_planner import lcs_oracle
 
 from evoroute.expr import EvalContext, eval_expr, parse_expr, to_weight
-from evoroute.loop import KnowledgeBase, export_kb, import_kb
+from evoroute.loop import export_kb, import_kb
 from evoroute.netmodel import Flow, Link, Network, full_topology, link_utilizations
 from evoroute.planner import (
     GpConfig,
@@ -82,9 +82,7 @@ def seed_batch():
 def test_criterion_1_golden_trace():
     with criterion(1, "motivating-example golden trace"):
         scenario = load_scenario(scenario_path("fig1"))
-        kb = KnowledgeBase(
-            retained=[Individual(parse_expr(EXAMPLE_FORMULA))], provenance="imported"
-        )
+        kb = [Individual(parse_expr(EXAMPLE_FORMULA))]
         start = time.perf_counter()
         result = run_scenario(scenario, kb=kb)
         elapsed = time.perf_counter() - start
@@ -197,23 +195,22 @@ def test_criterion_6_knowledge_base_reuse(tmp_path):
         result = run_scenario(scenario, seed=0)
         assert result.metrics.planner_invocations >= 1
         kb_file = str(tmp_path / "kb.txt")
-        export_kb(result.kb, kb_file)
+        export_kb(result.state.retained, kb_file)
         kb = import_kb(kb_file)
-        assert len(kb.retained) == 5
+        assert len(kb) == 5
 
         # generation 0 of a bootstrapped planning round = 5 imported + 5 random
         net = scenario.network
         flows = [Flow(i, (0,)) for i in range(3)]
         bw = {i: 30.0 for i in range(3)}
-        plan = gen_plan(net, flows, bw, kb.retained, GpConfig(max_generations=0), random.Random(1))
+        plan = gen_plan(net, flows, bw, kb, GpConfig(max_generations=0), random.Random(1))
         assert len(plan.initial) == 10
-        assert plan.initial[:5] == [i.expr for i in kb.retained]
+        assert plan.initial[:5] == [i.expr for i in kb]
 
         # transfer: the 3-path-trained kb resolves the 5-path subject, 30/30
         target = load_scenario(scenario_path("mnp5_2"))
         for seed in SEEDS:
-            run_kb = import_kb(kb_file)
-            res = run_scenario(target, seed=seed, router="genadapt-reuse", kb=run_kb)
+            res = run_scenario(target, seed=seed, router="genadapt-reuse", kb=kb)
             assert res.metrics.congestion_occurrences >= 1, seed
             assert end_state_max_util(target, res) <= 0.8, seed
 

@@ -4,12 +4,33 @@ import pytest
 
 from conftest import scenario_path
 
+from evoroute import cli
 from evoroute.cli import main
+
+METRICS = ("congestion_occurrences", "congestion_duration_s", "packet_loss_proxy", "planner_invocations")
 
 
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+@pytest.fixture
+def mnp3_kb(tmp_path):
+    """The knowledge base exported after an mnp3_2 run (seed 0)."""
+    kb_file = tmp_path / "mnp3.kb"
+    args = ["--scenario", scenario_path("mnp3_2"), "--out", str(kb_file), "--seed", "0"]
+    assert main(["transfer", "export", *args]) == 0
+    return kb_file
+
+
+def run_metrics(out, router, seed, kb=None):
+    """The metrics row of one ``run`` on mnp5_2."""
+    args = ["run", "--scenario", scenario_path("mnp5_2"), "--out", str(out)]
+    args += ["--router", router, "--seed", str(seed)] + (["--kb", str(kb)] if kb else [])
+    assert main(args) == 0
+    row = read_csv(out / "metrics.csv")[0]
+    return [row[k] for k in METRICS]
 
 
 class TestRun:
@@ -63,6 +84,15 @@ class TestRun:
             blobs.append(
                 ((out / "trace.csv").read_bytes(), (out / "metrics.csv").read_bytes())
             )
+        assert blobs[0] == blobs[1]
+
+    def test_kb_warm_starts_either_adaptive_router_alike(self, tmp_path, mnp3_kb):
+        blobs = []
+        for router in ("genadapt", "genadapt-reuse"):
+            out = tmp_path / router
+            args = ["--router", router, "--seed", "2", "--kb", str(mnp3_kb), "--kb-out", str(out / "kb")]
+            assert main(["run", "--scenario", scenario_path("mnp5_2"), "--out", str(out), *args]) == 0
+            blobs.append([(out / name).read_bytes() for name in ("trace.csv", "metrics.csv", "kb")])
         assert blobs[0] == blobs[1]
 
 
@@ -218,6 +248,29 @@ class TestCompare:
         assert float(summary["genadapt"]["mean_congestion_duration_s"]) < float(
             summary["unit-ospf"]["mean_congestion_duration_s"]
         )
+
+    def test_kb_is_read_once_and_warms_only_the_reuse_runs(self, tmp_path, mnp3_kb, monkeypatch):
+        imports = []
+        real = cli.import_kb
+
+        def counting(*args, **kwargs):
+            imports.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "import_kb", counting)
+        out = tmp_path / "cmp"
+        seeds = range(1, 4)  # on seed 3 the warm run's metrics differ from the cold one's
+        args = ["--routers", "genadapt,genadapt-reuse", "--seeds", "1-3", "--kb", str(mnp3_kb)]
+        assert main(["compare", "--scenario", scenario_path("mnp5_2"), "--out", str(out), *args]) == 0
+        assert len(imports) == 1
+
+        rows = {(r["router"], int(r["seed"])): [r[k] for k in METRICS] for r in read_csv(out / "runs.csv")}
+        for seed in seeds:
+            warm = run_metrics(tmp_path / f"warm{seed}", "genadapt-reuse", seed, kb=mnp3_kb)
+            cold = run_metrics(tmp_path / f"cold{seed}", "genadapt", seed)
+            assert rows[("genadapt-reuse", seed)] == warm
+            assert rows[("genadapt", seed)] == cold
+        assert any(rows[("genadapt-reuse", s)] != rows[("genadapt", s)] for s in seeds)
 
     def test_duplicate_seeds_rejected(self, tmp_path, capsys):
         code = main(

@@ -92,7 +92,7 @@ class TestGrow:
     def test_const_range(self):
         rng = random.Random(11)
         for _ in range(300):
-            expr = grow_random(4, rng, const_min=0.0, const_max=100.0)
+            expr = grow_random(4, rng)
             stack = [expr]
             while stack:
                 node = stack.pop()

@@ -6,7 +6,6 @@ from evoroute.expr import BinOp, Var, depth, format_expr
 from evoroute.loop import (
     AdaptationState,
     KbImportError,
-    KnowledgeBase,
     adapt_step,
     detect,
     export_kb,
@@ -41,8 +40,7 @@ class TestAdaptStep:
         bw = {0: 30.0}
         snap = make_snapshot(fig1, 0.0, [Flow(0, (0,))], bw)
         state = AdaptationState()
-        kb = KnowledgeBase()
-        assert adapt_step(fig1, snap, bw, kb, state, GpConfig(), random.Random(0)) is None
+        assert adapt_step(fig1, snap, bw, state, GpConfig(), random.Random(0)) is None
         assert state.invocation_count == 0
         assert state.active_expr is None
 
@@ -51,15 +49,14 @@ class TestAdaptStep:
         flows = [Flow(i, (0,)) for i in range(3)]
         snap = make_snapshot(fig1, 5.0, flows, bw)
         state = AdaptationState()
-        kb = KnowledgeBase()
         new_flows = adapt_step(
-            fig1, snap, bw, kb, state, GpConfig(max_generations=300), random.Random(1)
+            fig1, snap, bw, state, GpConfig(max_generations=300), random.Random(1)
         )
         assert new_flows is not None
         assert max(link_utilizations(fig1, new_flows, bw)) <= 0.8
         assert state.invocation_count == 1
         assert state.active_expr is not None
-        assert len(kb.retained) == 5
+        assert len(state.retained) == 5
         assert len(state.log) == 1
         assert state.log[0].tick == 5
 
@@ -68,11 +65,10 @@ class TestAdaptStep:
         flows = [Flow(i, (0,)) for i in range(3)]
         snap = make_snapshot(fig1, 0.0, flows, bw)
         state = AdaptationState()
-        kb = KnowledgeBase()
-        adapt_step(fig1, snap, bw, kb, state, GpConfig(max_generations=300), random.Random(1))
-        prior = [ind.expr for ind in kb.retained]
+        adapt_step(fig1, snap, bw, state, GpConfig(max_generations=300), random.Random(1))
+        prior = [ind.expr for ind in state.retained]
         result = gen_plan(
-            fig1, flows, bw, kb.retained, GpConfig(max_generations=0), random.Random(2)
+            fig1, flows, bw, state.retained, GpConfig(max_generations=0), random.Random(2)
         )
         assert result.initial[:5] == prior
 
@@ -82,22 +78,19 @@ class TestKbFiles:
         rng = random.Random(0)
         from evoroute.expr import grow_random
 
-        return KnowledgeBase(
-            retained=[Individual(grow_random(6, rng), fitness=float(i)) for i in range(5)]
-        )
+        return [Individual(grow_random(6, rng), fitness=float(i)) for i in range(5)]
 
     def test_round_trip(self, tmp_path):
         kb = self.make_kb()
         path = str(tmp_path / "kb.txt")
         export_kb(kb, path)
         loaded = import_kb(path)
-        assert [ind.expr for ind in loaded.retained] == [ind.expr for ind in kb.retained]
-        assert loaded.provenance == "imported"
-        assert all(ind.fitness is None for ind in loaded.retained)
+        assert [ind.expr for ind in loaded] == [ind.expr for ind in kb]
+        assert all(ind.fitness is None for ind in loaded)
 
     def test_export_empty_rejected(self, tmp_path):
         with pytest.raises(KbImportError):
-            export_kb(KnowledgeBase(), str(tmp_path / "kb.txt"))
+            export_kb([], str(tmp_path / "kb.txt"))
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "kb.txt"
@@ -124,4 +117,4 @@ class TestKbFiles:
     def test_empty_file_gives_empty_kb(self, tmp_path):
         path = tmp_path / "kb.txt"
         path.write_text("")
-        assert import_kb(str(path)).retained == []
+        assert import_kb(str(path)) == []

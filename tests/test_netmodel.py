@@ -14,7 +14,6 @@ from evoroute.netmodel import (
     Request,
     full_topology,
     link_throughputs,
-    link_utilization,
     link_utilizations,
     load_network,
     make_snapshot,
@@ -154,13 +153,6 @@ class TestThroughputUtilization:
     def test_unknown_link(self, fig1):
         with pytest.raises(NetworkError):
             throughput(fig1, [], {}, 999)
-
-    def test_utilization(self):
-        assert link_utilization(60, 100) == pytest.approx(0.6)
-        assert link_utilization(0, 100) == 0.0
-        assert link_utilization(150, 100) == pytest.approx(1.5)
-        with pytest.raises(NetworkError):
-            link_utilization(10, 0)
 
     def test_link_throughputs_match_per_link_throughput(self, fig1):
         flows = [Flow(0, (0,)), Flow(1, (2, 4)), Flow(2, (0,))]

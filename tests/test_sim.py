@@ -9,7 +9,7 @@ from conftest import EXAMPLE_FORMULA, scenario_path
 
 from evoroute import sim
 from evoroute.expr import parse_expr
-from evoroute.loop import AdaptationState, KnowledgeBase, adapt_step, detect
+from evoroute.loop import AdaptationState, adapt_step, detect
 from evoroute.netmodel import (
     Link,
     Network,
@@ -49,7 +49,7 @@ def reference_run(scenario, seed, router, kb):
     static = inverse_bw_weights(network) if router == "inverse-bw-ospf" else unit_weights(network)
     baseline = [static[link.id] for link in network.links]
     rng = Random(seed)
-    state = AdaptationState()
+    state = AdaptationState(retained=[ind.copy() for ind in kb])
     flows = {}
     pending = sorted(scenario.requests, key=lambda r: (r.arrival, r.id))
     metrics = MetricsRecord()
@@ -68,7 +68,7 @@ def reference_run(scenario, seed, router, kb):
         snapshot = make_snapshot(network, t, list(flows.values()), bandwidths)
         congested = detect(snapshot, threshold)
         if congested and adaptive:
-            new_flows = adapt_step(network, snapshot, bandwidths, kb, state, gp, rng)
+            new_flows = adapt_step(network, snapshot, bandwidths, state, gp, rng)
             if new_flows is not None:
                 flows = {f.request: f for f in new_flows}
         if congested:
@@ -123,11 +123,9 @@ def small_scenarios(draw):
 def test_run_matches_per_tick_reference(scenario, router, seed, warm):
     # a warm knowledge base holds the example formula, which weighs links by
     # utilization, so that arrivals after a plan avoid the loaded links
-    def kb():
-        return KnowledgeBase([Individual(parse_expr(EXAMPLE_FORMULA))] if warm else [])
-
-    result = run_scenario(scenario, seed=seed, router=router, kb=kb())
-    trace, metrics, flows, state = reference_run(scenario, seed, router, kb())
+    kb = [Individual(parse_expr(EXAMPLE_FORMULA))] if warm else []
+    result = run_scenario(scenario, seed=seed, router=router, kb=kb)
+    trace, metrics, flows, state = reference_run(scenario, seed, router, kb)
     assert result.trace == trace
     fields = ("congestion_occurrences", "congestion_duration", "packet_loss_proxy", "planner_invocations")
     assert [getattr(result.metrics, f) for f in fields] == [getattr(metrics, f) for f in fields]
@@ -236,8 +234,7 @@ class TestRunScenario:
         assert paths[0] == paths[1]
 
     def test_preseeded_formula_single_invocation(self, fig1_scenario, example_expr):
-        kb = KnowledgeBase(retained=[Individual(example_expr)], provenance="imported")
-        result = run_scenario(fig1_scenario, kb=kb)
+        result = run_scenario(fig1_scenario, kb=[Individual(example_expr)])
         m = result.metrics
         assert m.planner_invocations == 1
         assert m.congestion_duration == 1
@@ -265,7 +262,7 @@ class TestKnowledgeBaseFile:
             (m.congestion_occurrences, m.congestion_duration, m.packet_loss_proxy, m.planner_invocations),
             result.flows,
             log_rows(result.state),
-            result.kb,
+            result.state.retained,
         )
 
     def test_parsed_once_per_scenario(self, tmp_path, monkeypatch):
@@ -288,18 +285,36 @@ class TestKnowledgeBaseFile:
             fresh = run_scenario(scenario, seed=seed, router="genadapt-reuse", kb=real(str(kb_file)))
             assert self.outcome(result) == self.outcome(fresh)
 
-        # each run starts from its own individuals, which share the trees
-        a, b = scenario.knowledge_base(), scenario.knowledge_base()
-        assert a == b and a.provenance == "imported"
-        assert all(x is not y and x.expr is y.expr for x, y in zip(a.retained, b.retained))
+        # the runs left the parsed formulas as they were read
+        parsed = scenario.knowledge_base()
+        assert parsed is scenario.knowledge_base()
+        assert [(ind.expr, ind.fitness) for ind in parsed] == [
+            (parse_expr(EXAMPLE_FORMULA), None),
+            (parse_expr("((dl / threshold) * util)"), None),
+        ]
         assert len(imports) == 1
 
         # another file is read afresh
         other = tmp_path / "other.txt"
         other.write_text("0.5 util\n")
         scenario.kb_path = str(other)
-        assert [ind.expr for ind in scenario.knowledge_base().retained] == [parse_expr("util")]
+        assert [ind.expr for ind in scenario.knowledge_base()] == [parse_expr("util")]
         assert len(imports) == 2
+
+    def test_run_leaves_the_given_formulas_unchanged(self):
+        kb = [Individual(parse_expr(EXAMPLE_FORMULA)), Individual(parse_expr("util"), 1.5)]
+        before = [(ind, ind.expr, ind.fitness) for ind in kb]
+        scenario = load_scenario(scenario_path("mnp5_2"))
+        result = run_scenario(scenario, seed=0, router="genadapt-reuse", kb=kb)
+        assert result.metrics.planner_invocations >= 1
+        assert len(kb) == len(before)
+        for ind, (was, expr, fitness) in zip(kb, before):
+            assert ind is was and ind.expr is expr and ind.fitness == fitness
+        # the final formulas are the run's own: the top half of the last population
+        retained = result.state.retained
+        assert len(retained) == scenario.gp.population_size // 2
+        assert all(ind.fitness is not None for ind in retained)
+        assert not any(ind is given for ind in retained for given in kb)
 
     def test_unread_when_the_router_needs_none(self, fig1_scenario, monkeypatch):
         fig1_scenario.kb_path = "no-such.kb"
