@@ -10,6 +10,7 @@ import sys
 from .loop import KbImportError, export_kb, import_kb
 from .netmodel import ConfigError, NetworkError, full_topology, mnp_topology, save_network
 from .sim import (
+    ADAPTIVE_ROUTERS,
     MetricsRecord,
     ROUTERS,
     ScenarioError,
@@ -41,8 +42,12 @@ def _parse_seeds(text: str) -> list[int]:
 
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
+    router = args.router or scenario.router
+    if args.kb and router not in ADAPTIVE_ROUTERS:
+        # a file no run reads would change nothing
+        raise ScenarioError(f"kb: router {router} never reads --kb; use genadapt or genadapt-reuse")
     kb = import_kb(args.kb, max_depth=scenario.gp.max_depth) if args.kb else None
-    result = run_scenario(scenario, seed=args.seed, router=args.router, kb=kb)
+    result = run_scenario(scenario, seed=args.seed, router=router, kb=kb)
     os.makedirs(args.out, exist_ok=True)
     write_trace_csv(result.trace, os.path.join(args.out, "trace.csv"))
     write_metrics_csv(result.metrics, os.path.join(args.out, "metrics.csv"))
@@ -65,6 +70,8 @@ def cmd_compare(args) -> int:
         if router not in ROUTERS:
             raise ScenarioError(f"router: unknown value {router!r}")
     seeds = _parse_seeds(args.seeds)
+    if args.kb and "genadapt-reuse" not in routers:
+        raise ScenarioError("kb: --kb warms only genadapt-reuse runs, and --routers has none")
     kb = import_kb(args.kb, max_depth=scenario.gp.max_depth) if args.kb else None
 
     os.makedirs(args.out, exist_ok=True)
@@ -157,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--seeds", default="0-29")
     p_cmp.add_argument(
         "--kb",
-        help="knowledge-base file for the genadapt-reuse runs; genadapt runs start cold",
+        help="knowledge-base file for the genadapt-reuse runs (--routers must include one); "
+        "genadapt runs start cold",
     )
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -42,7 +42,7 @@ class AdaptationState:
 
 def detect(snapshot: Snapshot, threshold: float) -> bool:
     """Congested iff some link utilization strictly exceeds the threshold."""
-    return max(snapshot.util, default=0.0) > threshold
+    return max(snapshot.util.values(), default=0.0) > threshold
 
 
 def adapt_step(
@@ -71,7 +71,7 @@ def adapt_step(
     state.log.append(
         InvocationRecord(
             tick=int(snapshot.t),
-            max_util=max(snapshot.util, default=0.0),
+            max_util=max(snapshot.util.values(), default=0.0),
             generations=result.generations,
             best_fitness=result.best.fitness,
             wallclock_ms=wall_ms,

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import truediv
 from typing import Mapping, NamedTuple, Sequence
 
 
@@ -36,10 +36,11 @@ class Link:
     def __post_init__(self):
         if self.src == self.dst:
             raise NetworkError(f"link {self.id}: self-loop on node {self.src}")
-        if self.bw <= 0:
-            raise NetworkError(f"link {self.id}: bandwidth must be positive, got {self.bw}")
-        if self.dl <= 0:
-            raise NetworkError(f"link {self.id}: delay must be positive, got {self.dl}")
+        # written so that NaN fails too
+        if not 0 < self.bw < math.inf:
+            raise NetworkError(f"link {self.id}: bandwidth must be finite and > 0, got {self.bw}")
+        if not 0 < self.dl < math.inf:
+            raise NetworkError(f"link {self.id}: delay must be finite and > 0, got {self.dl}")
 
 
 @dataclass(frozen=True)
@@ -60,12 +61,15 @@ class Request:
     def __post_init__(self):
         if self.s == self.d:
             raise NetworkError(f"request {self.id}: source equals destination ({self.s})")
-        if self.arrival < 0:
-            raise NetworkError(f"request {self.id}: negative arrival time")
+        # written so that NaN fails too
+        if not 0 <= self.arrival < math.inf:
+            raise NetworkError(
+                f"request {self.id}: arrival must be finite and >= 0, got {self.arrival}"
+            )
         if not self.profile:
             raise NetworkError(f"request {self.id}: empty bandwidth profile")
-        if any(bd < 0 for _, bd in self.profile):
-            raise NetworkError(f"request {self.id}: negative bandwidth")
+        if not all(0 <= bd < math.inf for _, bd in self.profile):
+            raise NetworkError(f"request {self.id}: bandwidth must be finite and >= 0")
         starts = [start for start, _ in self.profile]
         if not all(a < b for a, b in zip(starts, starts[1:])):
             raise NetworkError(f"request {self.id}: profile start times must be strictly increasing")
@@ -123,6 +127,23 @@ class Network:
         return into
 
     @cached_property
+    def link_classes(
+        self,
+    ) -> tuple[dict[tuple[float, float, float], int], tuple[int, ...], int] | None:
+        """The static (bw, dl) classes of the links, numbered in order of
+        first link: per class, the formula input ``(bw, dl, 0.0)`` of an
+        idle link mapped to the class number; per link id, its class; and
+        the number of links in the smallest class. Built on first use.
+
+        None when some class has a single link: ``planner.link_inputs`` then
+        groups every table with a loaded link afresh, so no template is kept.
+        """
+        idle: dict[tuple[float, float, float], int] = {}
+        of = tuple(idle.setdefault((bw, dl, 0.0), len(idle)) for bw, dl in zip(self.bws, self.dls))
+        smallest = min(Counter(of).values(), default=0)
+        return (idle, of, smallest) if smallest > 1 else None
+
+    @cached_property
     def out_by_dst(self) -> tuple[list[tuple[int, int]], ...]:
         """Per node, the (destination node, link id) of every link out of
         it, sorted by destination; built on first use."""
@@ -166,7 +187,7 @@ class Snapshot(NamedTuple):
 
     t: float
     flows: tuple[Flow, ...]
-    util: tuple[float, ...]
+    util: dict[int, float]  # per loaded link id; a link that is absent is idle (0.0)
 
 
 def throughput(
@@ -182,30 +203,45 @@ def throughput(
 
 def link_throughputs(
     network: Network, flows: Sequence[Flow], bandwidths: Mapping[int, float]
-) -> list[float]:
-    """Per-link throughput (Mbps): the bandwidths of the flows over each link,
-    summed in flow order."""
-    thr = [0.0] * len(network.links)
+) -> dict[int, float]:
+    """Throughput (Mbps) per loaded link: the bandwidths of the flows over
+    each link, summed in flow order.
+
+    Only links that a flow with positive demand crosses have an entry;
+    every other link carries 0.0. Demands are non-negative (``Request``
+    checks it), so skipping the zero ones leaves every sum as it was, and
+    a sum that starts at 0.0 equals its first term.
+    """
+    thr: dict[int, float] = {}
     for f in flows:
         bd = bandwidths[f.request]
-        for e in f.path:
-            thr[e] += bd
+        if bd:
+            for e in f.path:
+                if e in thr:
+                    thr[e] += bd
+                else:
+                    thr[e] = bd
     return thr
 
 
 def link_utilizations(
     network: Network, flows: Sequence[Flow], bandwidths: Mapping[int, float]
-) -> list[float]:
-    """Per-link utilization fractions throughput/bw computed from the given
-    flows; a fraction may exceed 1.0 under over-capacity demand. Every
-    link's bandwidth is positive: ``Link`` checks it."""
-    return list(map(truediv, link_throughputs(network, flows, bandwidths), network.bws))
+) -> dict[int, float]:
+    """Utilization fraction throughput/bw per loaded link, computed from the
+    given flows; a fraction may exceed 1.0 under over-capacity demand. A
+    link without an entry is idle. Every link's bandwidth is positive:
+    ``Link`` checks it."""
+    bws = network.bws
+    util = link_throughputs(network, flows, bandwidths)
+    for e, x in util.items():  # in place: the keys stay as they are
+        util[e] = x / bws[e]
+    return util
 
 
 def make_snapshot(
     network: Network, t: float, flows: Sequence[Flow], bandwidths: Mapping[int, float]
 ) -> Snapshot:
-    return Snapshot(t, tuple(flows), tuple(link_utilizations(network, flows, bandwidths)))
+    return Snapshot(t, tuple(flows), link_utilizations(network, flows, bandwidths))
 
 
 def _check_weights(network: Network, weights: Sequence[int]) -> None:
@@ -330,14 +366,17 @@ def load_network(path: str) -> Network:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if parts[0] == "nodes" and len(parts) == 2:
-                n_nodes = int(parts[1])
-            elif parts[0] == "link" and len(parts) == 6:
-                links.append(
-                    Link(int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]), float(parts[5]))
-                )
-            else:
-                raise NetworkError(f"{path}:{lineno}: unrecognized line {line!r}")
+            try:
+                if parts[0] == "nodes" and len(parts) == 2:
+                    n_nodes = int(parts[1])
+                elif parts[0] == "link" and len(parts) == 6:
+                    links.append(
+                        Link(int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]), float(parts[5]))
+                    )
+                else:
+                    raise NetworkError(f"unrecognized line {line!r}")
+            except ValueError as exc:  # NetworkError included
+                raise NetworkError(f"{path}:{lineno}: {exc}") from None
     if n_nodes is None:
         raise NetworkError(f"{path}: missing 'nodes' header")
     return Network(n_nodes, links)

@@ -97,10 +97,12 @@ def find_flows_causing_congestion(
     removed: list[Flow] = []
     while True:
         util = link_utilizations(network, remaining, bandwidths)
-        peak = max(util, default=None)
+        # idle links are at 0.0, under every loaded one, so the peak and the
+        # lowest id holding it are those of the loaded links
+        peak = max(util.values(), default=None)
         if peak is None or peak <= threshold:
             break
-        worst = util.index(peak)  # the lowest id among the most loaded links
+        worst = min(e for e, u in util.items() if u == peak)
         carriers = [f for f in remaining if worst in f.path]
         assert carriers, "a loaded link must carry at least one flow"
         victim = carriers[rng.randrange(len(carriers))]
@@ -132,17 +134,37 @@ def formula_weigher(expr: Expr, threshold: float) -> Weigher:
 
 
 class LinkInputs(NamedTuple):
-    """Every link's formula input, for one utilization vector."""
+    """Every link's formula input, for one utilization map."""
 
-    util: Sequence[float]  # per link id
+    util: Mapping[int, float]  # per loaded link id; an absent link is idle
     inputs: list[tuple[float, float, float]]  # the distinct (bw, dl, util) triples
     of: list[int]  # per link id, its index into inputs
 
 
-def link_inputs(network: Network, util: Sequence[float]) -> LinkInputs:
-    """The links grouped by (bw, dl, util): on a uniform graph, idle links share one input."""
-    index: dict[tuple[float, float, float], int] = {}  # input -> its position
-    of = [index.setdefault(key, len(index)) for key in zip(network.bws, network.dls, util)]
+def link_inputs(network: Network, util: Mapping[int, float]) -> LinkInputs:
+    """The links grouped by (bw, dl, util).
+
+    Starts from the network's idle template, where each link has the input
+    of its static (bw, dl) class at utilization 0.0, and visits the loaded
+    links only. Once there are as many loaded links as the smallest class
+    has links, a class may have no idle link left, and an input that no
+    link has must not be weighed: then every link is grouped afresh, as it
+    always is on a network without a template.
+    """
+    classes = network.link_classes
+    bws, dls = network.bws, network.dls
+    if classes is None or len(util) >= classes[2]:
+        loads = [0.0] * len(bws)
+        for e, u in util.items():
+            loads[e] = u
+        index: dict[tuple[float, float, float], int] = {}  # input -> its position
+        of = [index.setdefault(key, len(index)) for key in zip(bws, dls, loads)]
+    else:
+        idle, class_of, _ = classes
+        index = idle.copy()  # class c's idle input is at position c
+        of = list(class_of)
+        for e, u in util.items():
+            of[e] = index.setdefault((bws[e], dls[e], u), len(index))
     return LinkInputs(util, list(index), of)
 
 
@@ -171,7 +193,8 @@ def compute_surrogate(
     """
     if keep is None:
         keep = link_inputs(network, link_utilizations(network, keep_flows, bandwidths))
-    util = list(keep.util)
+    util = dict(keep.util)
+    get = util.get
     weigh = formula_weigher(expr, threshold)
     weights = link_weights(keep, weigh)
     bws, dls = network.bws, network.dls
@@ -187,8 +210,8 @@ def compute_surrogate(
         bd = bandwidths[f.request]
         for e in path:
             bw = bws[e]
-            util[e] += bd / bw
-            weights[e] = weigh(bw, dls[e], util[e])
+            u = util[e] = get(e, 0.0) + bd / bw
+            weights[e] = weigh(bw, dls[e], u)
     return rerouted + list(keep_flows)
 
 
@@ -211,7 +234,7 @@ def evaluate_plan(
         raise NetworkError("new and old flows must cover the same request set")
 
     util = link_utilizations(network, new_flows, bandwidths)
-    fit1 = max(util, default=0.0)
+    fit1 = max(util.values(), default=0.0)
     if fit1 >= threshold:
         return normalize(fit1) + 2.0
     fit2 = sum(

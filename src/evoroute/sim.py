@@ -6,9 +6,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from operator import sub
 from random import Random
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .expr import DEFAULT_MAX_DEPTH
 from .loop import AdaptationState, adapt_step, detect, import_kb
@@ -28,6 +27,7 @@ from .netmodel import (
 from .planner import GpConfig, Individual, formula_weigher, link_inputs, link_weights
 
 ROUTERS = ("unit-ospf", "inverse-bw-ospf", "genadapt", "genadapt-reuse")
+ADAPTIVE_ROUTERS = ("genadapt", "genadapt-reuse")  # they plan, and read a knowledge base
 
 INVERSE_BW_REFERENCE = 1e5  # Mbps; the 100 Gbps reference-bandwidth convention
 
@@ -114,6 +114,14 @@ def route_request(
     return Flow(request.id, path)
 
 
+def loss_excess(network: Network, thr: Mapping[int, float]) -> float:
+    """Throughput above capacity (Mbps), summed over the loaded links in
+    link-id order; links at or under capacity add nothing."""
+    bws = network.bws
+    over = [e for e, x in thr.items() if x > bws[e]]
+    return sum([thr[e] - bws[e] for e in sorted(over)], 0.0) if over else 0.0
+
+
 def packet_loss_proxy(
     excess_total: float, demand_total: float
 ) -> float:
@@ -148,7 +156,7 @@ def run_scenario(
     if kb is None:
         kb = scenario.knowledge_base() if router == "genadapt-reuse" else []
 
-    adaptive = router in ("genadapt", "genadapt-reuse")
+    adaptive = router in ADAPTIVE_ROUTERS
     baseline = inverse_bw_weights(network) if router == "inverse-bw-ospf" else unit_weights(network)
     weigh = None  # the active formula's weigher, kept until the next install
 
@@ -199,7 +207,7 @@ def run_scenario(
         if stale:
             snapshot = make_snapshot(network, t, list(flows.values()), bandwidths)
             congested = detect(snapshot, threshold)
-            max_util = max(snapshot.util, default=0.0)
+            max_util = max(snapshot.util.values(), default=0.0)
 
         installed = False
         if congested and adaptive:
@@ -220,12 +228,9 @@ def run_scenario(
         else:
             in_congestion_run = False
 
-        # loss proxy accounts the state that persists through this tick;
-        # links at or under capacity add nothing to the excess
+        # loss proxy accounts the state that persists through this tick
         if stale or installed:
-            thr = link_throughputs(network, list(flows.values()), bandwidths)
-            over = max(map(sub, thr, network.bws), default=0.0)
-            excess = 0.0 if over <= 0 else sum(x - bw for x, bw in zip(thr, network.bws) if x > bw)
+            excess = loss_excess(network, link_throughputs(network, list(flows.values()), bandwidths))
         stale = installed
         excess_total += excess
         demand_total += demand
@@ -283,7 +288,7 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"scenario file not found: {path}")
     base = os.path.dirname(os.path.abspath(path))
     net_spec: tuple | None = None
-    link_bw, link_dl = 100.0, 25.0
+    statics = {"link_bw": 100.0, "link_dl": 25.0}  # of every generated link
     threshold = 0.8
     duration: int | None = None
     router = "genadapt"
@@ -319,11 +324,14 @@ def load_scenario(path: str) -> Scenario:
                     _require(len(args) == 2, f"line {lineno}: network needs kind and value")
                     kind = args[0]
                     _require(kind in ("full", "mnp", "file"), f"line {lineno}: network kind {kind!r}")
-                    net_spec = (kind, args[1])
-                elif key == "link_bw":
-                    link_bw = float(args[0])
-                elif key == "link_dl":
-                    link_dl = float(args[0])
+                    net_spec = (kind, args[1], lineno)
+                elif key in statics:
+                    value = float(args[0])
+                    # written so that NaN fails too
+                    _require(
+                        0 < value < math.inf, f"line {lineno}: {key} must be finite and > 0, got {args[0]}"
+                    )
+                    statics[key] = value
                 elif key == "threshold":
                     threshold = float(args[0])
                     _require(0 < threshold < 1, f"line {lineno}: threshold must be in (0,1)")
@@ -370,13 +378,16 @@ def load_scenario(path: str) -> Scenario:
             f"exceeds population {gp.population_size}"
         )
     _require(net_spec is not None, "network: no network directive in scenario")
-    kind, value = net_spec
-    if kind == "full":
-        network = full_topology(int(value), link_bw, link_dl)
-    elif kind == "mnp":
-        network = mnp_topology(int(value), link_bw, link_dl)
-    else:
-        network = load_network(os.path.join(base, value))
+    kind, value, lineno = net_spec
+    try:
+        if kind == "full":
+            network = full_topology(int(value), statics["link_bw"], statics["link_dl"])
+        elif kind == "mnp":
+            network = mnp_topology(int(value), statics["link_bw"], statics["link_dl"])
+        else:
+            network = load_network(os.path.join(base, value))
+    except ValueError as exc:  # NetworkError and ConfigError included
+        raise ScenarioError(f"network: line {lineno}: {exc}") from None
 
     _require(bool(requests), "request: scenario has no requests")
     for r in requests:

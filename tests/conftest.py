@@ -17,6 +17,19 @@ def scenario_path(name: str) -> str:
     return os.path.join(SCENARIO_DIR, f"{name}.scenario")
 
 
+def dense_throughputs(network, flows, bandwidths):
+    """The per-link throughput list the simulator and the planner once kept:
+    every link in a list indexed by link id, the flows' demands added in
+    flow order, zero demands included. The reference the sparse per-link
+    maps are checked against."""
+    thr = [0.0] * len(network.links)
+    for f in flows:
+        bd = bandwidths[f.request]
+        for e in f.path:
+            thr[e] += bd
+    return thr
+
+
 @pytest.fixture
 def example_expr():
     return parse_expr(EXAMPLE_FORMULA)

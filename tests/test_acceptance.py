@@ -60,7 +60,7 @@ def end_state_max_util(scenario, result):
     t = scenario.resolved_duration() - 1
     bandwidths = {r.id: r.bd(t) for r in scenario.requests if r.arrival <= t}
     utils = link_utilizations(scenario.network, list(result.flows.values()), bandwidths)
-    return max(utils, default=0.0)
+    return max(utils.values(), default=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +158,7 @@ def test_criterion_4_fitness_suite():
             new = [Flow(i, (rng.choice(links),)) for i in range(n_flows)]
             bw = {i: rng.uniform(5.0, 60.0) for i in range(n_flows)}
             fit = evaluate_plan(net4, new, old, bw, 0.8)
-            max_util = max(link_utilizations(net4, new, bw))
+            max_util = max(link_utilizations(net4, new, bw).values())
             assert 0.0 <= fit < 3.0
             assert (fit >= 2.0) == (max_util >= 0.8)
 

@@ -95,6 +95,17 @@ class TestRun:
             blobs.append([(out / name).read_bytes() for name in ("trace.csv", "metrics.csv", "kb")])
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("router", ["unit-ospf", "inverse-bw-ospf", None])
+    def test_kb_under_a_static_router_exits_one(self, tmp_path, capsys, mnp3_kb, router):
+        # None: the router comes from the scenario file, which names a static one
+        path = tmp_path / "static.scenario"
+        path.write_text("network mnp 3\nrouter unit-ospf\nrequest 0 1 0 30\n")
+        out = tmp_path / "out"
+        args = ["run", "--scenario", str(path), "--out", str(out), "--kb", str(mnp3_kb)]
+        assert main(args + (["--router", router] if router else [])) == 1
+        assert "never reads --kb" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScenarioValidation:
     @pytest.mark.parametrize(
@@ -140,6 +151,49 @@ class TestScenarioValidation:
         assert code == 1
         err = capsys.readouterr().err
         assert f"line {line}" in err and message in err
+
+    @pytest.mark.parametrize(
+        "directive, message",
+        [
+            ("request 0 1 0 nan", "bandwidth must be finite and >= 0"),
+            ("request 0 1 0 inf", "bandwidth must be finite and >= 0"),
+            ("request 0 1 0 0:30,5:inf", "bandwidth must be finite and >= 0"),
+            ("request 0 1 inf 30", "arrival must be finite and >= 0"),
+            ("request 0 1 nan 30", "arrival must be finite and >= 0"),
+            ("burst 0 1 2 2 5 inf", "bandwidth must be finite and >= 0"),
+            ("link_bw nan", "link_bw must be finite and > 0"),
+            ("link_bw -5", "link_bw must be finite and > 0"),
+            ("link_bw inf", "link_bw must be finite and > 0"),
+            ("link_dl inf", "link_dl must be finite and > 0"),
+            ("link_dl 0", "link_dl must be finite and > 0"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_number_exits_one_naming_the_line(
+        self, tmp_path, capsys, directive, message
+    ):
+        path = tmp_path / "bad.scenario"
+        path.write_text(f"network mnp 3\n{directive}\nrequest 0 1 0 30\n")
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and message in err
+
+    @pytest.mark.parametrize(
+        "network, message",
+        [
+            ("full 1", "at least 2 nodes"),
+            ("mnp two", "invalid literal"),
+            ("file bad.net", "bad.net:3: link 1: bandwidth must be finite and > 0, got nan"),
+        ],
+    )
+    def test_bad_network_exits_one_naming_the_line(self, tmp_path, capsys, network, message):
+        (tmp_path / "bad.net").write_text("nodes 2\nlink 0 0 1 100 25\nlink 1 1 0 nan 25\n")
+        path = tmp_path / "bad.scenario"
+        path.write_text(f"# topology\nnetwork {network}\nrequest 0 1 0 30\n")
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and message in err
 
     def test_gp_settings_at_their_bounds_run(self, tmp_path):
         path = tmp_path / "edge.scenario"
@@ -271,6 +325,13 @@ class TestCompare:
             assert rows[("genadapt-reuse", seed)] == warm
             assert rows[("genadapt", seed)] == cold
         assert any(rows[("genadapt-reuse", s)] != rows[("genadapt", s)] for s in seeds)
+
+    def test_kb_without_a_reuse_router_exits_one(self, tmp_path, capsys, mnp3_kb):
+        out = tmp_path / "cmp"
+        args = ["--routers", "unit-ospf,genadapt", "--seeds", "0-1", "--kb", str(mnp3_kb)]
+        assert main(["compare", "--scenario", scenario_path("fig1"), "--out", str(out), *args]) == 1
+        assert "--routers has none" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_duplicate_seeds_rejected(self, tmp_path, capsys):
         code = main(

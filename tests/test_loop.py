@@ -21,7 +21,7 @@ def fig1():
 
 
 def snapshot_with_utils(utils):
-    return Snapshot(0.0, (), tuple(utils))
+    return Snapshot(0.0, (), dict(enumerate(utils)))
 
 
 class TestDetect:
@@ -53,7 +53,7 @@ class TestAdaptStep:
             fig1, snap, bw, state, GpConfig(max_generations=300), random.Random(1)
         )
         assert new_flows is not None
-        assert max(link_utilizations(fig1, new_flows, bw)) <= 0.8
+        assert max(link_utilizations(fig1, new_flows, bw).values()) <= 0.8
         assert state.invocation_count == 1
         assert state.active_expr is not None
         assert len(state.retained) == 5

@@ -1,5 +1,6 @@
 import heapq
 import random
+from math import inf, nan
 
 import pytest
 from hypothesis import given, settings
@@ -92,11 +93,30 @@ class TestBasics:
         with pytest.raises(NetworkError):
             Link(0, 0, 1, 100, 0)
 
+    @pytest.mark.parametrize("bw, dl", [(nan, 25.0), (inf, 25.0), (100.0, nan), (100.0, inf), (-inf, 25.0)])
+    def test_link_numbers_must_be_finite(self, bw, dl):
+        with pytest.raises(NetworkError, match="must be finite and > 0"):
+            Link(0, 0, 1, bw, dl)
+
     def test_request_invariants(self):
         with pytest.raises(NetworkError):
             Request.constant(0, 2, 2, 0.0, 30)
         with pytest.raises(NetworkError):
             Request.constant(0, 0, 1, -1.0, 30)
+
+    @pytest.mark.parametrize(
+        "arrival, profile, message",
+        [
+            (nan, ((0.0, 30.0),), "arrival"),
+            (inf, ((0.0, 30.0),), "arrival"),
+            (0.0, ((0.0, nan),), "bandwidth"),
+            (0.0, ((0.0, 30.0), (5.0, inf)), "bandwidth"),
+            (0.0, ((0.0, -1.0),), "bandwidth"),
+        ],
+    )
+    def test_request_numbers_must_be_finite(self, arrival, profile, message):
+        with pytest.raises(NetworkError, match=message):
+            Request(0, 0, 1, arrival, profile)
 
     def test_request_profile(self):
         r = Request(0, 0, 1, 0.0, ((0.0, 30.0), (40.0, 50.0)))
@@ -158,14 +178,20 @@ class TestThroughputUtilization:
         flows = [Flow(0, (0,)), Flow(1, (2, 4)), Flow(2, (0,))]
         bw = {0: 30.0, 1: 45.0, 2: 12.5}
         thr = link_throughputs(fig1, flows, bw)
-        assert thr == [throughput(fig1, flows, bw, link.id) for link in fig1.links]
-        assert link_utilizations(fig1, flows, bw) == [t / link.bw for t, link in zip(thr, fig1.links)]
+        # links 0, 2 and 4 are loaded; the others are idle and have no entry
+        assert thr == {e: throughput(fig1, flows, bw, e) for e in (0, 2, 4)}
+        assert link_utilizations(fig1, flows, bw) == {e: t / fig1.bws[e] for e, t in thr.items()}
+
+    def test_zero_demand_flows_load_no_link(self, fig1):
+        flows = [Flow(0, (0,)), Flow(1, (2, 4)), Flow(2, (0, 6))]
+        bw = {0: 30.0, 1: 0.0, 2: 0.0}
+        assert link_throughputs(fig1, flows, bw) == {0: 30.0}
 
     def test_snapshot_roundtrip(self, fig1):
         flows = [Flow(0, (0,)), Flow(1, (2, 4))]
         bw = {0: 30.0, 1: 45.0}
         snap = make_snapshot(fig1, 3.0, flows, bw)
-        assert list(snap.util) == link_utilizations(fig1, flows, bw)
+        assert snap.util == link_utilizations(fig1, flows, bw)
 
 
 class TestShortestPath:
@@ -353,6 +379,13 @@ class TestSerialization:
         path = tmp_path / "bad.txt"
         path.write_text("nodes 2\nbogus stuff\n")
         with pytest.raises(NetworkError, match="2"):
+            load_network(str(path))
+
+    @pytest.mark.parametrize("line", ["nodes two", "link 1 0 1 100.0 nan", "link 1 0 1 100.0 x"])
+    def test_bad_value_names_the_line(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"nodes 2\nlink 0 1 0 100.0 25.0\n{line}\n")
+        with pytest.raises(NetworkError, match="bad.txt:3: "):
             load_network(str(path))
 
     def test_missing_header(self, tmp_path):

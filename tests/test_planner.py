@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE_FORMULA
+from conftest import EXAMPLE_FORMULA, dense_throughputs
 
 from evoroute import planner
 from evoroute.expr import EvalContext, eval_expr, format_expr, grow_random, parse_expr, to_weight
@@ -132,7 +132,7 @@ class TestFindFlows:
         )
         assert len(removed) == 1
         remaining = [f for f in three_direct_flows() if f.request != removed[0].request]
-        assert max(link_utilizations(fig1, remaining, BW3)) <= 0.8
+        assert max(link_utilizations(fig1, remaining, BW3).values()) <= 0.8
 
     def test_no_congestion_empty(self, fig1):
         flows = [Flow(0, (0,))]
@@ -144,7 +144,7 @@ class TestFindFlows:
         removed = find_flows_causing_congestion(fig1, flows, bw, 0.8, random.Random(3))
         assert len(removed) == 1
         remaining = [f for f in flows if f.request != removed[0].request]
-        assert max(link_utilizations(fig1, remaining, bw)) == pytest.approx(0.5)
+        assert max(link_utilizations(fig1, remaining, bw).values()) == pytest.approx(0.5)
 
 
 class TestComputeSurrogate:
@@ -178,10 +178,12 @@ class TestComputeSurrogate:
 
 
 def reference_surrogate(network, keep_flows, bad_flows, bandwidths, expr, threshold):
-    """The re-route that also weighs the last placed flow's links."""
-    util = link_utilizations(network, keep_flows, bandwidths)
+    """The re-route that also weighs the last placed flow's links, over a
+    dense utilization list with every link weighed apart."""
+    thr = dense_throughputs(network, keep_flows, bandwidths)
+    util = [x / link.bw for x, link in zip(thr, network.links)]
     weigh = formula_weigher(expr, threshold)
-    weights = link_weights(link_inputs(network, util), weigh)
+    weights = [weigh(link.bw, link.dl, util[link.id]) for link in network.links]
     rerouted = []
     for f in bad_flows:
         src, dst = network.path_endpoints(f.path)
@@ -277,7 +279,7 @@ class TestGenPlan:
             fig1, three_direct_flows(), BW3, [], GpConfig(max_generations=300), random.Random(1)
         )
         util = link_utilizations(fig1, result.new_flows, BW3)
-        assert max(util) < 0.8
+        assert max(util.values()) < 0.8
         moved = [
             f for f in result.new_flows if f.path != (0,)
         ]
@@ -382,9 +384,11 @@ def weighted_networks(draw):
 
 class TestLinkWeights:
     @settings(max_examples=300, deadline=None)
-    @given(weighted_networks(), st.integers(min_value=0, max_value=10**9), st.integers(1, 6))
-    def test_equals_per_link_evaluation(self, net_util, seed, max_depth):
+    @given(weighted_networks(), st.integers(min_value=0, max_value=10**9), st.integers(1, 6), st.booleans())
+    def test_equals_per_link_evaluation(self, net_util, seed, max_depth, drop_idle):
         net, util = net_util
+        # the map holds every link, or only the links above 0.0
+        loaded = {e: u for e, u in enumerate(util) if u or not drop_idle}
         expr = grow_random(max_depth, random.Random(seed))
         weigh = formula_weigher(expr, 0.8)
         weighed = []
@@ -393,7 +397,7 @@ class TestLinkWeights:
             weighed.append(key)
             return weigh(*key)
 
-        got = link_weights(link_inputs(net, util), recording)
+        got = link_weights(link_inputs(net, loaded), recording)
         assert got == reference_weights(net, util, expr, 0.8)
         assert all(type(w) is int for w in got)
         # each input some link has is weighed once, and no other input is
@@ -410,14 +414,12 @@ class TestLinkWeights:
 
         monkeypatch.setattr(planner, "eval_expr", counting)
         net = full_topology(5)  # 20 links, one (bw, dl) class
-        util = [0.0] * 20
-        util[3] = util[7] = 0.5
-        util[9] = 0.25
+        util = {3: 0.5, 7: 0.5, 9: 0.25}
         link_weights(link_inputs(net, util), formula_weigher(example_expr, 0.8))
         assert sorted(inputs) == [(100.0, 25.0, 0.0), (100.0, 25.0, 0.25), (100.0, 25.0, 0.5)]
 
         inputs.clear()  # no idle link: the class is never weighed at util 0
-        link_weights(link_inputs(net, [0.5] * 20), formula_weigher(example_expr, 0.8))
+        link_weights(link_inputs(net, dict.fromkeys(range(20), 0.5)), formula_weigher(example_expr, 0.8))
         assert inputs == [(100.0, 25.0, 0.5)]
 
 

@@ -5,23 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE_FORMULA, scenario_path
+from conftest import EXAMPLE_FORMULA, dense_throughputs, scenario_path
 
 from evoroute import sim
 from evoroute.expr import parse_expr
-from evoroute.loop import AdaptationState, adapt_step, detect
+from evoroute.loop import AdaptationState, adapt_step
 from evoroute.netmodel import (
     Link,
     Network,
     Request,
+    Snapshot,
     full_topology,
-    link_throughputs,
-    link_utilizations,
-    make_snapshot,
     mnp_topology,
     unit_weights,
 )
-from evoroute.planner import GpConfig, Individual, formula_weigher, link_inputs, link_weights
+from evoroute.planner import GpConfig, Individual, formula_weigher
 from evoroute.sim import (
     MetricsRecord,
     Scenario,
@@ -39,9 +37,10 @@ from evoroute.sim import (
 
 def reference_run(scenario, seed, router, kb):
     """The tick loop ``run_scenario`` ran before it recomputed per-link state
-    only on change ticks: every tick rebuilds the demands, the snapshot, the
-    congestion verdict and the loss excess from scratch. Returns the trace,
-    the metrics, the final flows and the adaptation state."""
+    only on change ticks: every tick rebuilds the demands, the utilizations,
+    the congestion verdict and the loss excess from scratch, over dense
+    per-link lists, and weighs every link apart. Returns the trace, the
+    metrics, the final flows and the adaptation state."""
     network = scenario.network
     threshold = scenario.threshold
     gp = replace(scenario.gp, threshold=threshold)
@@ -62,12 +61,16 @@ def reference_run(scenario, seed, router, kb):
             req = pending.pop(0)
             weights = baseline
             if state.active_expr is not None:
-                util = link_utilizations(network, list(flows.values()), bandwidths)
-                weights = link_weights(link_inputs(network, util), formula_weigher(state.active_expr, threshold))
+                thr = dense_throughputs(network, flows.values(), bandwidths)
+                weigh = formula_weigher(state.active_expr, threshold)
+                weights = [weigh(link.bw, link.dl, x / link.bw) for x, link in zip(thr, network.links)]
             flows[req.id] = route_request(network, weights, req)
-        snapshot = make_snapshot(network, t, list(flows.values()), bandwidths)
-        congested = detect(snapshot, threshold)
+        thr = dense_throughputs(network, flows.values(), bandwidths)
+        util = [x / bw for x, bw in zip(thr, network.bws)]
+        max_util = max(util, default=0.0)
+        congested = max_util > threshold
         if congested and adaptive:
+            snapshot = Snapshot(t, tuple(flows.values()), dict(enumerate(util)))
             new_flows = adapt_step(network, snapshot, bandwidths, state, gp, rng)
             if new_flows is not None:
                 flows = {f.request: f for f in new_flows}
@@ -75,10 +78,10 @@ def reference_run(scenario, seed, router, kb):
             metrics.congestion_duration += 1
             metrics.congestion_occurrences += not in_run
         in_run = congested
-        thr = link_throughputs(network, list(flows.values()), bandwidths)
+        thr = dense_throughputs(network, flows.values(), bandwidths)
         excess_total += sum(x - bw for x, bw in zip(thr, network.bws) if x > bw)
         demand_total += sum(bandwidths.values())
-        trace.append(TickRow(t, max(snapshot.util, default=0.0), congested, len(flows), state.invocation_count))
+        trace.append(TickRow(t, max_util, congested, len(flows), state.invocation_count))
     metrics.packet_loss_proxy = packet_loss_proxy(excess_total, demand_total)
     metrics.planner_invocations = state.invocation_count
     return trace, metrics, flows, state
