@@ -95,9 +95,10 @@ class RunResult:
     state: AdaptationState
 
 
-def inverse_bw_weights(network: Network, reference: float = INVERSE_BW_REFERENCE) -> list[int]:
-    """Weights inversely proportional to link bandwidth: max(1, floor(C/bw))."""
-    return [max(1, math.floor(reference / bw)) for bw in network.bws]
+def inverse_bw_weights(network: Network) -> list[int]:
+    """Weights inversely proportional to link bandwidth: max(1, floor(C/bw)),
+    C being ``INVERSE_BW_REFERENCE``."""
+    return [max(1, math.floor(INVERSE_BW_REFERENCE / bw)) for bw in network.bws]
 
 
 def route_request(
@@ -163,38 +164,38 @@ def run_scenario(
     rng = Random(seed)
     state = AdaptationState(retained=[ind.copy() for ind in kb])
     flows: dict[int, Flow] = {}
-    pending = sorted(scenario.requests, key=lambda r: (r.arrival, r.id))
     metrics = MetricsRecord()
     trace: list[TickRow] = []
     in_congestion_run = False
     excess_total = 0.0
     demand_total = 0.0
 
-    # Per-link state is recomputed from scratch, and only on ticks where
-    # flows or demands may have changed: an arrival, a plan installed on the
-    # tick before, or a profile segment starting after its request arrived
-    # (profiles are sorted, so demand changes nowhere else). In between,
-    # the same floats carry over.
-    demand_ticks = {
-        math.ceil(start)
-        for r in scenario.requests
-        for start, _ in r.profile[1:]
-        if r.arrival < start < duration
-    }
-    bandwidths: dict[int, float] = {}
+    # The event index, by tick: the requests arriving on it, in (arrival, id)
+    # order, and those whose profile starts a segment on it after they
+    # arrived (profiles are sorted, so demand changes nowhere else). Per-link
+    # state is recomputed from scratch only on these ticks and the tick after
+    # a plan; in between, the same floats carry over.
+    arrivals: dict[int, list[Request]] = {}
+    changes: dict[int, list[Request]] = {}
+    for r in sorted(scenario.requests, key=lambda r: (r.arrival, r.id)):
+        arrivals.setdefault(math.ceil(r.arrival), []).append(r)
+        for tick in {math.ceil(start) for start, _ in r.profile[1:] if r.arrival < start}:
+            changes.setdefault(tick, []).append(r)
+    # every demand, in scenario order since the demand sum adds in that
+    # order; a request not yet arrived holds 0.0, which leaves the sum exact
+    bandwidths = dict.fromkeys([r.id for r in scenario.requests], 0.0)
     demand = 0.0
     stale = True  # flows or demands changed since the last snapshot
 
     for t in range(duration):
-        demand_changed = t in demand_ticks
-        if demand_changed or (pending and pending[0].arrival <= t):
-            bandwidths = {r.id: r.bd(t) for r in scenario.requests if r.arrival <= t}
+        changed, arrived = changes.get(t, ()), arrivals.get(t, ())
+        if changed or arrived:
+            bandwidths.update([(r.id, r.bd(t)) for r in (*changed, *arrived)])
             demand = sum(bandwidths.values())
-        stale = stale or demand_changed
+            stale = stale or bool(changed)
 
         # admit arrivals, routing each under the weights of the moment
-        while pending and pending[0].arrival <= t:
-            req = pending.pop(0)
+        for req in arrived:
             if state.active_expr is not None:
                 util = link_utilizations(network, list(flows.values()), bandwidths) if stale else snapshot.util
                 weigh = weigh or formula_weigher(state.active_expr, threshold)
@@ -273,6 +274,28 @@ def _parse_request(rid: int, s: int, d: int, arrival: float, text: str) -> Reque
     return Request(rid, s, d, arrival, tuple(segments))
 
 
+def _reachable(network: Network, sources: set[int]) -> dict[int, set[int]]:
+    """Per source, the nodes some directed path reaches from it, itself included."""
+    succ: list[list[int]] = [[] for _ in range(network.n_nodes)]
+    for link in network.links:
+        succ[link.src].append(link.dst)
+    reach: dict[int, set[int]] = {}
+    for src in sources:
+        seen = {src}
+        stack = [src]
+        while stack:
+            u = stack.pop()
+            if u in reach:  # an earlier source: what it reaches is reached
+                seen |= reach[u]
+                continue
+            for v in succ[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        reach[src] = seen
+    return reach
+
+
 def load_scenario(path: str) -> Scenario:
     """Parse the flat key-value scenario format.
 
@@ -282,7 +305,11 @@ def load_scenario(path: str) -> Scenario:
     ``crossover_rate``, ``mutation_rate``, ``tournament``, ``max_depth``,
     ``early_stop``), ``request SRC DST ARRIVAL BD`` and
     ``burst SRC DST PER_BURST BURSTS SPACING BD``. GP settings outside
-    their ranges are refused, naming the line that set them.
+    their ranges are refused, naming the line that set them; so are a
+    request whose endpoint is no node or whose destination no directed path
+    reaches from its source, and a ``duration`` that does not exceed the
+    last arrival's tick (``ceil(arrival)``), so that no tick would admit
+    that request.
     """
     if not os.path.exists(path):
         raise ScenarioError(f"scenario file not found: {path}")
@@ -291,11 +318,13 @@ def load_scenario(path: str) -> Scenario:
     statics = {"link_bw": 100.0, "link_dl": 25.0}  # of every generated link
     threshold = 0.8
     duration: int | None = None
+    duration_line = 0
     router = "genadapt"
     seed = 0
     kb_path: str | None = None
     gp_kwargs: dict = {}
     requests: list[Request] = []
+    request_lines: list[str] = []  # per request, "request: line N" or "burst: line N"
 
     # directive -> (GpConfig field, conversion, check, what the check requires);
     # the tournament size is also checked against the population below
@@ -336,7 +365,7 @@ def load_scenario(path: str) -> Scenario:
                     threshold = float(args[0])
                     _require(0 < threshold < 1, f"line {lineno}: threshold must be in (0,1)")
                 elif key == "duration":
-                    duration = int(args[0])
+                    duration, duration_line = int(args[0]), lineno
                 elif key == "router":
                     _require(args[0] in ROUTERS, f"line {lineno}: router {args[0]!r}")
                     router = args[0]
@@ -354,6 +383,7 @@ def load_scenario(path: str) -> Scenario:
                     _require(len(args) == 4, f"line {lineno}: request SRC DST ARRIVAL BD")
                     s, d, arrival = int(args[0]), int(args[1]), float(args[2])
                     requests.append(_parse_request(len(requests), s, d, arrival, args[3]))
+                    request_lines.append(f"request: line {lineno}")
                 elif key == "burst":
                     _require(len(args) == 6, f"line {lineno}: burst SRC DST PER_BURST BURSTS SPACING BD")
                     s, d, per_burst, bursts = map(int, args[:4])
@@ -362,6 +392,7 @@ def load_scenario(path: str) -> Scenario:
                     for b in range(bursts):
                         for _ in range(per_burst):
                             requests.append(_parse_request(len(requests), s, d, b * spacing, args[5]))
+                            request_lines.append(f"burst: line {lineno}")
                 else:
                     raise ScenarioError(f"line {lineno}: unknown directive {key!r}")
             except (ValueError, IndexError) as exc:
@@ -390,9 +421,12 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"network: line {lineno}: {exc}") from None
 
     _require(bool(requests), "request: scenario has no requests")
-    for r in requests:
-        _require(0 <= r.s < network.n_nodes, f"request {r.id}: source {r.s} out of range")
-        _require(0 <= r.d < network.n_nodes, f"request {r.id}: destination {r.d} out of range")
+    for r, where in zip(requests, request_lines):
+        _require(0 <= r.s < network.n_nodes, f"{where}: source {r.s} out of range")
+        _require(0 <= r.d < network.n_nodes, f"{where}: destination {r.d} out of range")
+    reach = _reachable(network, {r.s for r in requests})
+    for r, where in zip(requests, request_lines):
+        _require(r.d in reach[r.s], f"{where}: destination {r.d} unreachable from {r.s}")
 
     scenario = Scenario(
         network=network,
@@ -404,9 +438,11 @@ def load_scenario(path: str) -> Scenario:
         seed=seed,
         kb_path=kb_path,
     )
-    last = max(r.arrival for r in requests)
+    # a request arrives on tick ceil(arrival), and ticks run 0..duration-1
+    last = math.ceil(max(r.arrival for r in requests))
     _require(
-        scenario.resolved_duration() >= last, "duration: must reach the last arrival"
+        last < scenario.resolved_duration(),
+        f"duration: line {duration_line}: must exceed the last arrival's tick {last}, got {duration}",
     )
     return scenario
 

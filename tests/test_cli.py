@@ -195,6 +195,46 @@ class TestScenarioValidation:
         err = capsys.readouterr().err
         assert "line 2" in err and message in err
 
+    @pytest.mark.parametrize(
+        "duration, arrival, tick",
+        [
+            (5, "4.5", 5),  # admitted on tick ceil(4.5) = 5, after the last tick, 4
+            (5, "5", 5),
+            (0, "0", 0),  # no tick at all
+        ],
+    )
+    def test_duration_without_the_last_arrival_tick_exits_one(
+        self, tmp_path, capsys, monkeypatch, duration, arrival, tick
+    ):
+        path = tmp_path / "bad.scenario"
+        path.write_text(f"network mnp 3\nduration {duration}\nrequest 0 1 0 30\nrequest 0 1 {arrival} 30\n")
+        monkeypatch.setattr(cli, "run_scenario", None)  # refused at load: any run would fail
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"duration: line 2: must exceed the last arrival's tick {tick}, got {duration}" in err
+
+    @pytest.mark.parametrize(
+        "directive, message",
+        [
+            ("request 2 0 40 30", "request: line 4: destination 0 unreachable from 2"),
+            ("burst 1 0 2 2 5 30", "burst: line 4: destination 0 unreachable from 1"),
+            ("request 0 3 0 30", "request: line 4: destination 3 out of range"),
+            ("burst 5 1 1 1 5 30", "burst: line 4: source 5 out of range"),
+        ],
+    )
+    def test_bad_request_endpoints_exit_one_naming_the_line(
+        self, tmp_path, capsys, monkeypatch, directive, message
+    ):
+        # a one-way chain 0 -> 1 -> 2
+        (tmp_path / "chain.net").write_text("nodes 3\nlink 0 0 1 100 25\nlink 1 1 2 100 25\n")
+        path = tmp_path / "bad.scenario"
+        path.write_text(f"network file chain.net\nrequest 0 2 0 30\nrequest 1 2 0 30\n{directive}\n")
+        monkeypatch.setattr(cli, "run_scenario", None)  # refused at load: any run would fail
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_gp_settings_at_their_bounds_run(self, tmp_path):
         path = tmp_path / "edge.scenario"
         path.write_text(

@@ -94,13 +94,25 @@ def log_rows(state):
 
 _MBPS = st.floats(0.0, 90.0, allow_nan=False).map(lambda x: x + 0.37)
 _TIME = st.integers(0, 40).map(lambda q: q / 4)  # quarter ticks: on and off the tick grid
+_START = st.integers(-4, 68).map(lambda q: q / 4)  # -1..16: some at or after the run's end
+
+
+@st.composite
+def profile_starts(draw):
+    """Sorted distinct segment starts: a few anywhere, plus up to four in
+    the quarter ticks up to one tick, which all take effect on that tick."""
+    starts = set(draw(st.lists(_START, min_size=1, max_size=4)))
+    tick = draw(st.integers(0, 16))
+    starts |= {tick - q / 4 for q in draw(st.sets(st.integers(0, 3), max_size=4))}
+    return sorted(starts)
 
 
 @st.composite
 def small_scenarios(draw):
     """A complete graph of 3-5 nodes with mixed link bandwidths, and up to
     eight requests with fractional arrivals and piecewise profiles whose
-    segments start on and between ticks."""
+    segments start on and between ticks, several within one tick, and
+    before, during and after the run."""
     n = draw(st.integers(3, 5))
     pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
     bws = draw(st.lists(st.sampled_from([60.0, 100.0, 150.0]), min_size=len(pairs), max_size=len(pairs)))
@@ -108,8 +120,8 @@ def small_scenarios(draw):
     requests = []
     for rid in range(draw(st.integers(1, 8))):
         s, d = draw(st.sampled_from(pairs))
-        starts = draw(st.lists(_TIME.map(lambda x: x - 1.0), min_size=1, max_size=4, unique=True))
-        profile = tuple(zip(sorted(starts), draw(st.lists(_MBPS, min_size=len(starts), max_size=len(starts)))))
+        starts = draw(profile_starts())
+        profile = tuple(zip(starts, draw(st.lists(_MBPS, min_size=len(starts), max_size=len(starts)))))
         requests.append(Request(rid, s, d, draw(_TIME), profile))
     duration = draw(st.one_of(st.none(), st.integers(11, 14)))
     gp = GpConfig(population_size=6, tournament_size=3, max_generations=2, max_depth=5)
@@ -136,6 +148,22 @@ def test_run_matches_per_tick_reference(scenario, router, seed, warm):
     assert log_rows(result.state) == log_rows(state)
 
 
+def test_demand_adds_in_scenario_order_not_arrival_order():
+    # requests 0-3 arrive on tick 1 in the order 2, 3, 0, 1; in scenario
+    # order 1 + 2**53 rounds down to 2**53 and each 1e-16 is lost, while in
+    # arrival order the small demands add up first and the total rounds up
+    # to 2**53 + 2, under plain and under compensated summation alike
+    demands = [1.0, 2.0**53, 1e-16, 1e-16]
+    arrivals = [0.75, 1.0, 0.25, 0.5]
+    requests = [Request.constant(i, 0, 1, a, bd) for i, (a, bd) in enumerate(zip(arrivals, demands))]
+    assert sum(demands) != sum(demands[i] for i in (2, 3, 0, 1))
+    scenario = Scenario(full_topology(2), requests, duration=3, router="unit-ospf")
+    result = run_scenario(scenario)
+    trace, metrics, flows, state = reference_run(scenario, 0, "unit-ospf", [])
+    assert result.trace == trace
+    assert result.metrics.packet_loss_proxy == metrics.packet_loss_proxy > 0
+
+
 @pytest.fixture
 def fig1_scenario():
     return load_scenario(scenario_path("fig1"))
@@ -151,6 +179,12 @@ class TestRouteRequest:
         net = full_topology(2)
         flow = route_request(net, unit_weights(net), Request.constant(0, 0, 1, 0.0, 30))
         assert flow.path == (0,)
+
+    def test_unreachable_destination_raises(self):
+        # load_scenario refuses such a pair; a scenario built in code reaches here
+        net = Network(2, [Link(0, 0, 1, 100.0, 25.0)])
+        with pytest.raises(ScenarioError, match="request 4: destination 0 unreachable from 1"):
+            route_request(net, unit_weights(net), Request.constant(4, 1, 0, 0.0, 30))
 
 
 class TestInverseBwWeights:
