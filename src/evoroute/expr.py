@@ -263,7 +263,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def parse_expr(text: str) -> Expr:
-    """Parse the fully parenthesized infix format produced by format_expr."""
+    """Parse the fully parenthesized infix format produced by format_expr.
+
+    Constants must be finite; since every operator's result is clamped to
+    VALUE_CAP, a parsed tree then evaluates finite on finite inputs.
+    """
     tokens = _tokenize(text)
     idx = 0
 
@@ -277,7 +281,10 @@ def parse_expr(text: str) -> Expr:
             raise ParseError("unexpected end of input", pos)
         if kind == "num":
             idx += 1
-            return Const(float(value))
+            number = float(value)
+            if not math.isfinite(number):  # an overflowing literal such as 1e400
+                raise ParseError(f"constant {value!r} is not finite", pos)
+            return Const(number)
         if kind == "name":
             idx += 1
             if value not in VAR_NAMES:

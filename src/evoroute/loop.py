@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Mapping, Sequence
 
-from .expr import depth, format_expr, parse_expr
+from .expr import DEFAULT_MAX_DEPTH, depth, format_expr, parse_expr
 from .netmodel import Flow, Network, Snapshot
 from .planner import GpConfig, Individual, PlanResult, gen_plan
 
@@ -33,7 +33,6 @@ class AdaptationState:
     """What the loop has installed so far and how it got there."""
 
     active_expr: object = None  # Expr or None (None = baseline unit weights)
-    invocation_count: int = 0
     log: list[InvocationRecord] = field(default_factory=list)
     # the knowledge base: the best formulas of the last planning round,
     # ascending by fitness, that seed the next round
@@ -52,22 +51,19 @@ def adapt_step(
     state: AdaptationState,
     config: GpConfig,
     rng: Random,
-) -> list[Flow] | None:
-    """One tick of the loop: plan and install a new formula when congested.
+) -> list[Flow]:
+    """One congested tick of the loop: plan and install a new formula.
 
-    Returns the re-routed flow set to apply atomically, or None when no
-    adaptation was needed. The retained formulas are replaced with the top
-    half of the planner's final population.
+    The caller has found the snapshot congested (``detect``). Returns the
+    re-routed flow set to apply atomically. The retained formulas are
+    replaced with the top half of the planner's final population.
     """
-    if not detect(snapshot, config.threshold):
-        return None
     start = time.perf_counter()
     result: PlanResult = gen_plan(
         network, list(snapshot.flows), bandwidths, state.retained, config, rng
     )
     wall_ms = (time.perf_counter() - start) * 1000.0
     state.active_expr = result.best.expr
-    state.invocation_count += 1
     state.log.append(
         InvocationRecord(
             tick=int(snapshot.t),
@@ -92,7 +88,7 @@ def export_kb(retained: Sequence[Individual], path: str) -> None:
             fh.write(f"{fitness:.6f} {format_expr(ind.expr)}\n")
 
 
-def import_kb(path: str, max_depth: int = 15) -> list[Individual]:
+def import_kb(path: str, max_depth: int = DEFAULT_MAX_DEPTH) -> list[Individual]:
     """Read a formula file; every formula is re-validated against the grammar
     and depth bound, and fitness is treated as unevaluated."""
     retained: list[Individual] = []

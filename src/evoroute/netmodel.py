@@ -129,19 +129,15 @@ class Network:
     @cached_property
     def link_classes(
         self,
-    ) -> tuple[dict[tuple[float, float, float], int], tuple[int, ...], int] | None:
+    ) -> tuple[dict[tuple[float, float, float], int], tuple[int, ...], int]:
         """The static (bw, dl) classes of the links, numbered in order of
         first link: per class, the formula input ``(bw, dl, 0.0)`` of an
         idle link mapped to the class number; per link id, its class; and
         the number of links in the smallest class. Built on first use.
-
-        None when some class has a single link: ``planner.link_inputs`` then
-        groups every table with a loaded link afresh, so no template is kept.
         """
         idle: dict[tuple[float, float, float], int] = {}
         of = tuple(idle.setdefault((bw, dl, 0.0), len(idle)) for bw, dl in zip(self.bws, self.dls))
-        smallest = min(Counter(of).values(), default=0)
-        return (idle, of, smallest) if smallest > 1 else None
+        return idle, of, min(Counter(of).values(), default=0)
 
     @cached_property
     def out_by_dst(self) -> tuple[list[tuple[int, int]], ...]:

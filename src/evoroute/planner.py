@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import starmap
+from operator import attrgetter
 from random import Random
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -41,15 +42,15 @@ class GpConfig:
     early_stop_fitness: float = 2.0
 
 
-@dataclass
-class Individual:
-    """A weight formula with its cached fitness for the current snapshot."""
+class Individual(NamedTuple):
+    """A weight formula with its fitness on the snapshot it was assessed on
+    (None when unassessed). Immutable, so it is shared, never copied."""
 
     expr: Expr
     fitness: float | None = None
 
-    def copy(self) -> "Individual":
-        return Individual(self.expr, self.fitness)
+
+_FITNESS = attrgetter("fitness")
 
 
 @dataclass
@@ -148,12 +149,11 @@ def link_inputs(network: Network, util: Mapping[int, float]) -> LinkInputs:
     of its static (bw, dl) class at utilization 0.0, and visits the loaded
     links only. Once there are as many loaded links as the smallest class
     has links, a class may have no idle link left, and an input that no
-    link has must not be weighed: then every link is grouped afresh, as it
-    always is on a network without a template.
+    link has must not be weighed: then every link is grouped afresh.
     """
     classes = network.link_classes
     bws, dls = network.bws, network.dls
-    if classes is None or len(util) >= classes[2]:
+    if len(util) >= classes[2]:
         loads = [0.0] * len(bws)
         for e, u in util.items():
             loads[e] = u
@@ -259,8 +259,8 @@ def tournament_select(population: Sequence[Individual], k: int, rng: Random) -> 
     return best
 
 
-def _breed(population: list[Individual], config: GpConfig, rng: Random) -> list[Individual]:
-    offspring: list[Individual] = []
+def _breed(population: list[Individual], config: GpConfig, rng: Random) -> list[Expr]:
+    offspring: list[Expr] = []
     while len(offspring) < config.population_size:
         p1 = tournament_select(population, config.tournament_size, rng)
         p2 = tournament_select(population, config.tournament_size, rng)
@@ -271,7 +271,7 @@ def _breed(population: list[Individual], config: GpConfig, rng: Random) -> list[
         for child in (c1, c2):
             if rng.random() < config.mutation_rate:
                 child = mutate(child, rng, config.max_depth)
-            offspring.append(Individual(child))
+            offspring.append(child)
     return offspring[: config.population_size]
 
 
@@ -298,12 +298,8 @@ def gen_plan(
     # the kept flows' link inputs are the same for every candidate
     keep = link_inputs(network, link_utilizations(network, keep_flows, bandwidths))
 
-    seeds = [Individual(ind.expr) for ind in best_sol[: config.population_size // 2]]
-    population = seeds + [
-        Individual(grow_random(config.max_depth, rng))
-        for _ in range(config.population_size - len(seeds))
-    ]
-    initial = [ind.expr for ind in population]
+    initial = [ind.expr for ind in best_sol[: config.population_size // 2]]
+    initial += [grow_random(config.max_depth, rng) for _ in range(config.population_size - len(initial))]
 
     # (fitness, surrogate flows) per formula already scored in this call;
     # scoring draws no random numbers, so skipping a repeat leaves the RNG
@@ -319,11 +315,11 @@ def gen_plan(
     # alone decide the fitness. Distinct formulas often make the same plan.
     plans: dict[tuple[tuple[int, ...], ...], float] = {}
 
-    def assess(ind: Individual) -> None:
-        hit = scored.get(ind.expr)
+    def assess(expr: Expr) -> Individual:
+        hit = scored.get(expr)
         if hit is None:
             flows = compute_surrogate(
-                network, keep_flows, bad_flows, bandwidths, ind.expr, config.threshold, keep
+                network, keep_flows, bad_flows, bandwidths, expr, config.threshold, keep
             )
             plan = tuple(f.path for f in flows[: len(bad_flows)])
             fitness = plans.get(plan)
@@ -331,27 +327,21 @@ def gen_plan(
                 fitness = plans[plan] = evaluate_plan(
                     network, flows, old_flows, bandwidths, config.threshold
                 )
-            hit = scored[ind.expr] = (fitness, flows)
-        ind.fitness = hit[0]
+            hit = scored[expr] = (fitness, flows)
+        return Individual(expr, hit[0])
 
-    best: Individual | None = None
-    for ind in population:
-        assess(ind)
-        if best is None or ind.fitness < best.fitness:
-            best = ind.copy()
+    # min keeps the first of equal fitnesses: the earlier best, then the
+    # earlier individual
+    population = [assess(expr) for expr in initial]
+    best = min(population, key=_FITNESS)
     history = [best.fitness]
 
     generations = 0
     while best.fitness >= config.early_stop_fitness and generations < config.max_generations:
-        population = _breed(population, config, rng)
-        for ind in population:
-            assess(ind)
-            if ind.fitness < best.fitness:
-                best = ind.copy()
+        population = [assess(expr) for expr in _breed(population, config, rng)]
+        best = min([best, *population], key=_FITNESS)
         generations += 1
         history.append(best.fitness)
 
-    retained = [
-        ind.copy() for ind in sorted(population, key=lambda i: i.fitness)
-    ][: config.population_size // 2]
+    retained = sorted(population, key=_FITNESS)[: config.population_size // 2]
     return PlanResult(best, scored[best.expr][1], retained, generations, history, initial)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from random import Random
 from typing import Mapping, Sequence
 
@@ -40,7 +40,6 @@ class ScenarioError(ValueError):
 class Scenario:
     network: Network
     requests: list[Request]
-    threshold: float = 0.8
     duration: int | None = None
     router: str = "genadapt"
     gp: GpConfig = field(default_factory=GpConfig)
@@ -58,10 +57,7 @@ class Scenario:
         return int(math.ceil(last)) + 10
 
     def knowledge_base(self) -> list[Individual]:
-        """The formulas of ``kb_path``, read and parsed on first use only.
-
-        The parsed list itself is returned: ``run_scenario`` copies it.
-        """
+        """The formulas of ``kb_path``, read and parsed on first use only."""
         if self.kb_path is None:
             raise ScenarioError("kb: genadapt-reuse requires a knowledge-base file")
         key = (self.kb_path, self.gp.max_depth)
@@ -140,10 +136,9 @@ def run_scenario(
 ) -> RunResult:
     """Execute a scenario tick by tick; optional overrides for batch runs.
 
-    The planner starts from copies of ``kb`` when given, else from the
-    scenario's knowledge base under ``genadapt-reuse`` and from none under
-    the other routers; the caller's formulas are never changed. The final
-    formulas are on ``result.state.retained``.
+    The planner starts from ``kb`` when given, else from the scenario's
+    knowledge base under ``genadapt-reuse`` and from none under the other
+    routers. The final formulas are on ``result.state.retained``.
     """
     router = router or scenario.router
     if router not in ROUTERS:
@@ -151,8 +146,7 @@ def run_scenario(
     seed = scenario.seed if seed is None else seed
     network = scenario.network
     duration = scenario.resolved_duration()
-    threshold = scenario.threshold
-    gp = replace(scenario.gp, threshold=threshold)
+    gp = scenario.gp
 
     if kb is None:
         kb = scenario.knowledge_base() if router == "genadapt-reuse" else []
@@ -162,7 +156,7 @@ def run_scenario(
     weigh = None  # the active formula's weigher, kept until the next install
 
     rng = Random(seed)
-    state = AdaptationState(retained=[ind.copy() for ind in kb])
+    state = AdaptationState(retained=list(kb))
     flows: dict[int, Flow] = {}
     metrics = MetricsRecord()
     trace: list[TickRow] = []
@@ -198,7 +192,7 @@ def run_scenario(
         for req in arrived:
             if state.active_expr is not None:
                 util = link_utilizations(network, list(flows.values()), bandwidths) if stale else snapshot.util
-                weigh = weigh or formula_weigher(state.active_expr, threshold)
+                weigh = weigh or formula_weigher(state.active_expr, gp.threshold)
                 weights = link_weights(link_inputs(network, util), weigh)
             else:
                 weights = baseline
@@ -207,19 +201,17 @@ def run_scenario(
 
         if stale:
             snapshot = make_snapshot(network, t, list(flows.values()), bandwidths)
-            congested = detect(snapshot, threshold)
+            congested = detect(snapshot, gp.threshold)
             max_util = max(snapshot.util.values(), default=0.0)
 
-        installed = False
-        if congested and adaptive:
+        installed = congested and adaptive
+        if installed:
             # the snapshot is this tick's: congestion starts only on a tick
-            # that rebuilt it, and a plan (always returned here) marks the
-            # next tick stale, so every planning tick is a rebuilding one
+            # that rebuilt it, and a plan marks the next tick stale, so
+            # every planning tick is a rebuilding one
             new_flows = adapt_step(network, snapshot, bandwidths, state, gp, rng)
-            if new_flows is not None:
-                flows = {f.request: f for f in new_flows}
-                installed = True
-                weigh = None
+            flows = {f.request: f for f in new_flows}
+            weigh = None
 
         if congested:
             metrics.congestion_duration += 1
@@ -242,12 +234,12 @@ def run_scenario(
                 max_util=max_util,
                 congested=congested,
                 flow_count=len(flows),
-                formula_id=state.invocation_count,
+                formula_id=len(state.log),
             )
         )
 
     metrics.packet_loss_proxy = packet_loss_proxy(excess_total, demand_total)
-    metrics.planner_invocations = state.invocation_count
+    metrics.planner_invocations = len(state.log)
     return RunResult(metrics, trace, flows, state)
 
 
@@ -316,7 +308,6 @@ def load_scenario(path: str) -> Scenario:
     base = os.path.dirname(os.path.abspath(path))
     net_spec: tuple | None = None
     statics = {"link_bw": 100.0, "link_dl": 25.0}  # of every generated link
-    threshold = 0.8
     duration: int | None = None
     duration_line = 0
     router = "genadapt"
@@ -362,7 +353,7 @@ def load_scenario(path: str) -> Scenario:
                     )
                     statics[key] = value
                 elif key == "threshold":
-                    threshold = float(args[0])
+                    threshold = gp_kwargs["threshold"] = float(args[0])
                     _require(0 < threshold < 1, f"line {lineno}: threshold must be in (0,1)")
                 elif key == "duration":
                     duration, duration_line = int(args[0]), lineno
@@ -431,7 +422,6 @@ def load_scenario(path: str) -> Scenario:
     scenario = Scenario(
         network=network,
         requests=requests,
-        threshold=threshold,
         duration=duration,
         router=router,
         gp=gp,

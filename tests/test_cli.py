@@ -282,6 +282,23 @@ class TestTransfer:
         assert main(["transfer", "import", "--kb", str(kb_file)]) == 1
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("formula", ["(1e400 * util)", "((1e400 - 1e400) + bw)"])
+    def test_import_overflowing_constant_exits_one_naming_the_line(self, tmp_path, capsys, formula):
+        kb_file = tmp_path / "kb.txt"
+        kb_file.write_text(f"0.0 {formula}\n")
+        assert main(["transfer", "import", "--kb", str(kb_file)]) == 1
+        err = capsys.readouterr().err
+        assert "line 1" in err and "'1e400' is not finite" in err
+
+    @pytest.mark.parametrize("formula", ["(1e400 * util)", "((1e400 - 1e400) + bw)"])
+    def test_run_with_overflowing_constant_exits_one_naming_the_line(self, tmp_path, capsys, formula):
+        kb_file = tmp_path / "kb.txt"
+        kb_file.write_text(f"0.0 {formula}\n")
+        args = ["run", "--scenario", scenario_path("mnp3_2"), "--out", str(tmp_path / "out")]
+        assert main(args + ["--router", "genadapt-reuse", "--kb", str(kb_file)]) == 1
+        err = capsys.readouterr().err
+        assert "line 1" in err and "'1e400' is not finite" in err
+
     def test_run_with_imported_kb(self, tmp_path):
         kb_file = tmp_path / "kb.txt"
         assert (

@@ -1,11 +1,12 @@
 import gc
 import importlib
+import math
 import random
 import sys
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evoroute.expr import (
@@ -329,6 +330,11 @@ class TestTextFormat:
             parse_expr("(1 +")
         assert exc.value.position == 4
 
+    def test_overflowing_constant_error_position(self):
+        with pytest.raises(ParseError, match="not finite") as exc:
+            parse_expr("(util * 1e400)")
+        assert exc.value.position == 8
+
     def test_unknown_identifier(self):
         with pytest.raises(ParseError):
             parse_expr("frob")
@@ -340,6 +346,41 @@ class TestTextFormat:
     def test_missing_operator(self):
         with pytest.raises(ParseError):
             parse_expr("(util 1)")
+
+
+# Parser input over its token alphabet: free-form token strings, which are
+# mostly refused, and well-formed formulas whose numbers may have a decimal
+# part and a signed exponent of up to three digits (so some overflow).
+_PARSER_TOKENS = [*"0123456789", ".", "e", *OPS, "(", ")", " ", *VAR_NAMES]
+_NUMBER_TEXTS = st.from_regex(r"[0-9]{1,3}(\.[0-9]{1,3})?(e[+-]?[0-9]{1,3})?", fullmatch=True)
+_FORMULA_TEXTS = st.recursive(
+    st.one_of(_NUMBER_TEXTS, st.sampled_from(VAR_NAMES)),
+    lambda sub: st.builds(
+        lambda left, op, right, gap: f"({left}{gap}{op}{gap}{right})",
+        sub, st.sampled_from(OPS), sub, st.sampled_from(["", " ", "  "]),
+    ),
+    max_leaves=8,
+)
+_PARSER_TEXTS = st.one_of(
+    st.lists(st.sampled_from(_PARSER_TOKENS), max_size=30).map("".join), _FORMULA_TEXTS
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_CONTEXTS = st.lists(st.builds(EvalContext, _FINITE, _FINITE, _FINITE, _FINITE), min_size=1, max_size=4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PARSER_TEXTS, _CONTEXTS)
+@example("1e400", [CTX])
+@example("((1e400 - 1e400) + bw)", [CTX])
+@example("(1e308 * 1e308)", [CTX])
+def test_parsed_text_round_trips_and_evaluates_finite(text, contexts):
+    try:
+        expr = parse_expr(text)
+    except ParseError:
+        return
+    assert parse_expr(format_expr(expr)) == expr
+    for ctx in contexts:
+        assert math.isfinite(eval_expr(expr, ctx))
 
 
 def test_dropped_import_is_freed():

@@ -36,14 +36,6 @@ class TestDetect:
 
 
 class TestAdaptStep:
-    def test_no_congestion_no_change(self, fig1):
-        bw = {0: 30.0}
-        snap = make_snapshot(fig1, 0.0, [Flow(0, (0,))], bw)
-        state = AdaptationState()
-        assert adapt_step(fig1, snap, bw, state, GpConfig(), random.Random(0)) is None
-        assert state.invocation_count == 0
-        assert state.active_expr is None
-
     def test_congestion_installs_formula(self, fig1):
         bw = {i: 30.0 for i in range(3)}
         flows = [Flow(i, (0,)) for i in range(3)]
@@ -52,9 +44,7 @@ class TestAdaptStep:
         new_flows = adapt_step(
             fig1, snap, bw, state, GpConfig(max_generations=300), random.Random(1)
         )
-        assert new_flows is not None
         assert max(link_utilizations(fig1, new_flows, bw).values()) <= 0.8
-        assert state.invocation_count == 1
         assert state.active_expr is not None
         assert len(state.retained) == 5
         assert len(state.log) == 1

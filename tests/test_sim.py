@@ -1,4 +1,3 @@
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -42,13 +41,12 @@ def reference_run(scenario, seed, router, kb):
     per-link lists, and weighs every link apart. Returns the trace, the
     metrics, the final flows and the adaptation state."""
     network = scenario.network
-    threshold = scenario.threshold
-    gp = replace(scenario.gp, threshold=threshold)
+    gp = scenario.gp
     adaptive = router == "genadapt"
     static = inverse_bw_weights(network) if router == "inverse-bw-ospf" else unit_weights(network)
     baseline = [static[link.id] for link in network.links]
     rng = Random(seed)
-    state = AdaptationState(retained=[ind.copy() for ind in kb])
+    state = AdaptationState(retained=list(kb))
     flows = {}
     pending = sorted(scenario.requests, key=lambda r: (r.arrival, r.id))
     metrics = MetricsRecord()
@@ -62,18 +60,16 @@ def reference_run(scenario, seed, router, kb):
             weights = baseline
             if state.active_expr is not None:
                 thr = dense_throughputs(network, flows.values(), bandwidths)
-                weigh = formula_weigher(state.active_expr, threshold)
+                weigh = formula_weigher(state.active_expr, gp.threshold)
                 weights = [weigh(link.bw, link.dl, x / link.bw) for x, link in zip(thr, network.links)]
             flows[req.id] = route_request(network, weights, req)
         thr = dense_throughputs(network, flows.values(), bandwidths)
         util = [x / bw for x, bw in zip(thr, network.bws)]
         max_util = max(util, default=0.0)
-        congested = max_util > threshold
+        congested = max_util > gp.threshold
         if congested and adaptive:
             snapshot = Snapshot(t, tuple(flows.values()), dict(enumerate(util)))
-            new_flows = adapt_step(network, snapshot, bandwidths, state, gp, rng)
-            if new_flows is not None:
-                flows = {f.request: f for f in new_flows}
+            flows = {f.request: f for f in adapt_step(network, snapshot, bandwidths, state, gp, rng)}
         if congested:
             metrics.congestion_duration += 1
             metrics.congestion_occurrences += not in_run
@@ -81,9 +77,9 @@ def reference_run(scenario, seed, router, kb):
         thr = dense_throughputs(network, flows.values(), bandwidths)
         excess_total += sum(x - bw for x, bw in zip(thr, network.bws) if x > bw)
         demand_total += sum(bandwidths.values())
-        trace.append(TickRow(t, max_util, congested, len(flows), state.invocation_count))
+        trace.append(TickRow(t, max_util, congested, len(flows), len(state.log)))
     metrics.packet_loss_proxy = packet_loss_proxy(excess_total, demand_total)
-    metrics.planner_invocations = state.invocation_count
+    metrics.planner_invocations = len(state.log)
     return trace, metrics, flows, state
 
 
@@ -125,7 +121,7 @@ def small_scenarios(draw):
         requests.append(Request(rid, s, d, draw(_TIME), profile))
     duration = draw(st.one_of(st.none(), st.integers(11, 14)))
     gp = GpConfig(population_size=6, tournament_size=3, max_generations=2, max_depth=5)
-    return Scenario(network, requests, threshold=0.8, duration=duration, gp=gp)
+    return Scenario(network, requests, duration=duration, gp=gp)
 
 
 @settings(max_examples=150, deadline=None)
