@@ -30,11 +30,14 @@ def _parse_seeds(text: str) -> list[int]:
     seeds: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if "-" in chunk and not chunk.startswith("-"):
-            lo, hi = chunk.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
-        elif chunk:
-            seeds.append(int(chunk))
+        try:
+            if "-" in chunk and not chunk.startswith("-"):
+                lo, hi = chunk.split("-", 1)
+                seeds.extend(range(int(lo), int(hi) + 1))
+            elif chunk:
+                seeds.append(int(chunk))
+        except ValueError:
+            raise ScenarioError(f"seeds: {chunk!r} is neither a seed nor a range LO-HI") from None
     if not seeds or len(set(seeds)) != len(seeds):
         raise ScenarioError("seeds: list must be non-empty and duplicate-free")
     return seeds
@@ -195,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, NetworkError, ConfigError, KbImportError, FileNotFoundError) as exc:
+    except (ScenarioError, NetworkError, ConfigError, KbImportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # runtime failure

@@ -274,7 +274,7 @@ def parse_expr(text: str) -> Expr:
     def peek():
         return tokens[idx] if idx < len(tokens) else (None, "", len(text))
 
-    def parse_node() -> Expr:
+    def parse_node(open_parens: int = 0) -> Expr:
         nonlocal idx
         kind, value, pos = peek()
         if kind is None:
@@ -291,13 +291,17 @@ def parse_expr(text: str) -> Expr:
                 raise ParseError(f"unknown identifier {value!r}", pos)
             return Var(value)
         if kind == "lpar":
+            # no tree within the depth bound nests this deep, and refusing
+            # here keeps the recursion shallow
+            if open_parens == DEFAULT_MAX_DEPTH:
+                raise ParseError(f"parentheses nested beyond the depth bound {DEFAULT_MAX_DEPTH}", pos)
             idx += 1
-            left = parse_node()
+            left = parse_node(open_parens + 1)
             okind, ovalue, opos = peek()
             if okind != "op":
                 raise ParseError("expected operator", opos)
             idx += 1
-            right = parse_node()
+            right = parse_node(open_parens + 1)
             ckind, _, cpos = peek()
             if ckind != "rpar":
                 raise ParseError("expected ')'", cpos)

@@ -10,7 +10,7 @@ from random import Random
 from typing import Mapping, Sequence
 
 from .expr import DEFAULT_MAX_DEPTH
-from .loop import AdaptationState, adapt_step, detect, import_kb
+from .loop import AdaptationState, KbImportError, adapt_step, detect, import_kb
 from .netmodel import (
     Flow,
     Network,
@@ -36,7 +36,7 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     network: Network
     requests: list[Request]
@@ -44,26 +44,13 @@ class Scenario:
     router: str = "genadapt"
     gp: GpConfig = field(default_factory=GpConfig)
     seed: int = 0
-    kb_path: str | None = None
-    # (kb_path, max_depth) and the formulas parsed from them
-    _kb: tuple[tuple[str, int], list[Individual]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    kb: tuple[Individual, ...] | None = None  # the ``kb`` file's formulas, parsed at load
 
     def resolved_duration(self) -> int:
         if self.duration is not None:
             return self.duration
         last = max((r.arrival for r in self.requests), default=0.0)
         return int(math.ceil(last)) + 10
-
-    def knowledge_base(self) -> list[Individual]:
-        """The formulas of ``kb_path``, read and parsed on first use only."""
-        if self.kb_path is None:
-            raise ScenarioError("kb: genadapt-reuse requires a knowledge-base file")
-        key = (self.kb_path, self.gp.max_depth)
-        if self._kb is None or self._kb[0] != key:
-            self._kb = (key, import_kb(self.kb_path, max_depth=self.gp.max_depth))
-        return self._kb[1]
 
 
 @dataclass
@@ -148,15 +135,16 @@ def run_scenario(
     duration = scenario.resolved_duration()
     gp = scenario.gp
 
-    if kb is None:
-        kb = scenario.knowledge_base() if router == "genadapt-reuse" else []
+    if kb is None and router == "genadapt-reuse":
+        _require(scenario.kb is not None, "kb: genadapt-reuse requires a knowledge-base file")
+        kb = scenario.kb
 
     adaptive = router in ADAPTIVE_ROUTERS
     baseline = inverse_bw_weights(network) if router == "inverse-bw-ospf" else unit_weights(network)
     weigh = None  # the active formula's weigher, kept until the next install
 
     rng = Random(seed)
-    state = AdaptationState(retained=list(kb))
+    state = AdaptationState(retained=list(kb or ()))
     flows: dict[int, Flow] = {}
     metrics = MetricsRecord()
     trace: list[TickRow] = []
@@ -288,49 +276,53 @@ def _reachable(network: Network, sources: set[int]) -> dict[int, set[int]]:
     return reach
 
 
+def _finite_positive(value: float) -> bool:
+    return 0 < value < math.inf  # written so that NaN fails too
+
+
+# single-value directive -> (what it configures, field, conversion, check,
+# what the check requires); the tournament size is also checked against the
+# population, and the duration against the last arrival, once all are read
+SCENARIO_KEYS = {
+    "link_bw": ("topology", "bw", float, _finite_positive, "finite and > 0"),
+    "link_dl": ("topology", "dl", float, _finite_positive, "finite and > 0"),
+    "threshold": ("gp", "threshold", float, lambda v: 0 < v < 1, "in (0,1)"),
+    "duration": ("scenario", "duration", int, lambda v: True, "an integer"),
+    "router": ("scenario", "router", str, ROUTERS.__contains__, f"one of {', '.join(ROUTERS)}"),
+    "seed": ("scenario", "seed", int, lambda v: True, "an integer"),
+    "kb": ("scenario", "kb", str, lambda v: True, "a path"),
+    "population": ("gp", "population_size", int, lambda v: v >= 1, "at least 1"),
+    "max_generations": ("gp", "max_generations", int, lambda v: v >= 0, "at least 0"),
+    "crossover_rate": ("gp", "crossover_rate", float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "mutation_rate": ("gp", "mutation_rate", float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "tournament": ("gp", "tournament_size", int, lambda v: v >= 1, "at least 1"),
+    "max_depth": (
+        "gp", "max_depth", int, lambda v: 1 <= v <= DEFAULT_MAX_DEPTH, f"in 1..{DEFAULT_MAX_DEPTH}"
+    ),
+    "early_stop": ("gp", "early_stop_fitness", float, math.isfinite, "finite"),
+}
+
+
 def load_scenario(path: str) -> Scenario:
     """Parse the flat key-value scenario format.
 
-    Directives: ``network full N | mnp K | file PATH``, ``link_bw``,
-    ``link_dl``, ``threshold``, ``duration``, ``router``, ``seed``,
-    ``kb PATH``, GP keys (``population``, ``max_generations``,
-    ``crossover_rate``, ``mutation_rate``, ``tournament``, ``max_depth``,
-    ``early_stop``), ``request SRC DST ARRIVAL BD`` and
-    ``burst SRC DST PER_BURST BURSTS SPACING BD``. GP settings outside
-    their ranges are refused, naming the line that set them; so are a
-    request whose endpoint is no node or whose destination no directed path
-    reaches from its source, and a ``duration`` that does not exceed the
-    last arrival's tick (``ceil(arrival)``), so that no tick would admit
-    that request.
+    Directives: ``network full N | mnp K | file PATH``, the single-value
+    directives of ``SCENARIO_KEYS`` (each takes exactly one value),
+    ``request SRC DST ARRIVAL BD`` and
+    ``burst SRC DST PER_BURST BURSTS SPACING BD``. Settings outside their
+    ranges are refused, naming the line that set them; so are a ``network
+    file`` or ``kb`` file that cannot be read or parsed (the ``kb`` file is
+    parsed here, under the scenario's ``max_depth``), a request whose
+    endpoint is no node or whose destination no directed path reaches from
+    its source, and a ``duration`` that does not exceed the last arrival's
+    tick (``ceil(arrival)``), so that no tick would admit that request.
     """
-    if not os.path.exists(path):
-        raise ScenarioError(f"scenario file not found: {path}")
     base = os.path.dirname(os.path.abspath(path))
     net_spec: tuple | None = None
-    statics = {"link_bw": 100.0, "link_dl": 25.0}  # of every generated link
-    duration: int | None = None
-    duration_line = 0
-    router = "genadapt"
-    seed = 0
-    kb_path: str | None = None
-    gp_kwargs: dict = {}
+    settings: dict[str, dict] = {"topology": {}, "scenario": {}, "gp": {}}  # owner -> field -> value
+    lines: dict[str, int] = {}  # single-value directive -> line that set it
     requests: list[Request] = []
     request_lines: list[str] = []  # per request, "request: line N" or "burst: line N"
-
-    # directive -> (GpConfig field, conversion, check, what the check requires);
-    # the tournament size is also checked against the population below
-    gp_keys = {
-        "population": ("population_size", int, lambda v: v >= 1, "at least 1"),
-        "max_generations": ("max_generations", int, lambda v: v >= 0, "at least 0"),
-        "crossover_rate": ("crossover_rate", float, lambda v: 0 <= v <= 1, "in [0, 1]"),
-        "mutation_rate": ("mutation_rate", float, lambda v: 0 <= v <= 1, "in [0, 1]"),
-        "tournament": ("tournament_size", int, lambda v: v >= 1, "at least 1"),
-        "max_depth": (
-            "max_depth", int, lambda v: 1 <= v <= DEFAULT_MAX_DEPTH, f"in 1..{DEFAULT_MAX_DEPTH}"
-        ),
-        "early_stop": ("early_stop_fitness", float, math.isfinite, "finite"),
-    }
-    gp_lines: dict[str, int] = {}  # GpConfig field -> line that set it
 
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -340,36 +332,18 @@ def load_scenario(path: str) -> Scenario:
             parts = line.split()
             key, args = parts[0], parts[1:]
             try:
-                if key == "network":
+                if key in SCENARIO_KEYS:
+                    owner, name, conv, check, rule = SCENARIO_KEYS[key]
+                    _require(len(args) == 1, f"line {lineno}: {key} takes exactly one value, got {len(args)}")
+                    value = conv(args[0])
+                    _require(check(value), f"line {lineno}: {key} must be {rule}, got {args[0]}")
+                    settings[owner][name] = value
+                    lines[key] = lineno
+                elif key == "network":
                     _require(len(args) == 2, f"line {lineno}: network needs kind and value")
                     kind = args[0]
                     _require(kind in ("full", "mnp", "file"), f"line {lineno}: network kind {kind!r}")
                     net_spec = (kind, args[1], lineno)
-                elif key in statics:
-                    value = float(args[0])
-                    # written so that NaN fails too
-                    _require(
-                        0 < value < math.inf, f"line {lineno}: {key} must be finite and > 0, got {args[0]}"
-                    )
-                    statics[key] = value
-                elif key == "threshold":
-                    threshold = gp_kwargs["threshold"] = float(args[0])
-                    _require(0 < threshold < 1, f"line {lineno}: threshold must be in (0,1)")
-                elif key == "duration":
-                    duration, duration_line = int(args[0]), lineno
-                elif key == "router":
-                    _require(args[0] in ROUTERS, f"line {lineno}: router {args[0]!r}")
-                    router = args[0]
-                elif key == "seed":
-                    seed = int(args[0])
-                elif key == "kb":
-                    kb_path = os.path.join(base, args[0])
-                elif key in gp_keys:
-                    name, conv, check, rule = gp_keys[key]
-                    value = conv(args[0])
-                    _require(check(value), f"line {lineno}: {key} must be {rule}, got {args[0]}")
-                    gp_kwargs[name] = value
-                    gp_lines[name] = lineno
                 elif key == "request":
                     _require(len(args) == 4, f"line {lineno}: request SRC DST ARRIVAL BD")
                     s, d, arrival = int(args[0]), int(args[1]), float(args[2])
@@ -391,24 +365,30 @@ def load_scenario(path: str) -> Scenario:
                     raise
                 raise ScenarioError(f"{key}: line {lineno}: {exc}") from None
 
-    gp = GpConfig(**gp_kwargs)
+    gp = GpConfig(**settings["gp"])
     if gp.tournament_size > gp.population_size:
         # name the later of the two lines: the one that broke the pair
-        lineno = max(gp_lines.get("population_size", 0), gp_lines.get("tournament_size", 0))
+        lineno = max(lines.get("population", 0), lines.get("tournament", 0))
         raise ScenarioError(
             f"tournament: line {lineno}: tournament size {gp.tournament_size} "
             f"exceeds population {gp.population_size}"
         )
+    kb = settings["scenario"].get("kb")
+    if kb is not None:
+        try:
+            settings["scenario"]["kb"] = tuple(import_kb(os.path.join(base, kb), max_depth=gp.max_depth))
+        except (OSError, KbImportError) as exc:
+            raise ScenarioError(f"kb: line {lines['kb']}: {kb}: {exc}") from None
+
     _require(net_spec is not None, "network: no network directive in scenario")
     kind, value, lineno = net_spec
     try:
-        if kind == "full":
-            network = full_topology(int(value), statics["link_bw"], statics["link_dl"])
-        elif kind == "mnp":
-            network = mnp_topology(int(value), statics["link_bw"], statics["link_dl"])
-        else:
+        if kind == "file":
             network = load_network(os.path.join(base, value))
-    except ValueError as exc:  # NetworkError and ConfigError included
+        else:
+            generate = full_topology if kind == "full" else mnp_topology
+            network = generate(int(value), **settings["topology"])
+    except (OSError, ValueError) as exc:  # NetworkError and ConfigError included
         raise ScenarioError(f"network: line {lineno}: {exc}") from None
 
     _require(bool(requests), "request: scenario has no requests")
@@ -419,21 +399,14 @@ def load_scenario(path: str) -> Scenario:
     for r, where in zip(requests, request_lines):
         _require(r.d in reach[r.s], f"{where}: destination {r.d} unreachable from {r.s}")
 
-    scenario = Scenario(
-        network=network,
-        requests=requests,
-        duration=duration,
-        router=router,
-        gp=gp,
-        seed=seed,
-        kb_path=kb_path,
-    )
+    scenario = Scenario(network, requests, gp=gp, **settings["scenario"])
     # a request arrives on tick ceil(arrival), and ticks run 0..duration-1
     last = math.ceil(max(r.arrival for r in requests))
-    _require(
-        last < scenario.resolved_duration(),
-        f"duration: line {duration_line}: must exceed the last arrival's tick {last}, got {duration}",
-    )
+    if last >= scenario.resolved_duration():
+        raise ScenarioError(
+            f"duration: line {lines['duration']}: must exceed the last arrival's tick {last}, "
+            f"got {scenario.duration}"
+        )
     return scenario
 
 

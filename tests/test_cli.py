@@ -24,6 +24,11 @@ def mnp3_kb(tmp_path):
     return kb_file
 
 
+# a formula nested far deeper than any legal tree, and than the interpreter's
+# recursion limit
+DEEP_FORMULA = "(" * 1200 + "util" + " + util)" * 1200
+
+
 def run_metrics(out, router, seed, kb=None):
     """The metrics row of one ``run`` on mnp5_2."""
     args = ["run", "--scenario", scenario_path("mnp5_2"), "--out", str(out)]
@@ -50,6 +55,10 @@ class TestRun:
         code = main(["run", "--scenario", "missing.scenario", "--out", str(tmp_path)])
         assert code == 1
         assert "missing.scenario" in capsys.readouterr().err
+
+    def test_directory_as_scenario_exits_one(self, tmp_path, capsys):
+        assert main(["run", "--scenario", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+        assert str(tmp_path) in capsys.readouterr().err
 
     def test_static_router_never_resolves(self, tmp_path):
         out = tmp_path / "out"
@@ -184,6 +193,7 @@ class TestScenarioValidation:
             ("full 1", "at least 2 nodes"),
             ("mnp two", "invalid literal"),
             ("file bad.net", "bad.net:3: link 1: bandwidth must be finite and > 0, got nan"),
+            ("file nope.net", "No such file or directory"),
         ],
     )
     def test_bad_network_exits_one_naming_the_line(self, tmp_path, capsys, network, message):
@@ -234,6 +244,40 @@ class TestScenarioValidation:
         code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "directive",
+        ["threshold 0.5 0.9", "population 10 20", "router unit-ospf genadapt", "duration 50 5", "seed 1 2"],
+    )
+    def test_extra_value_exits_one_naming_the_line(self, tmp_path, capsys, directive):
+        path = tmp_path / "bad.scenario"
+        path.write_text(f"network mnp 3\n{directive}\nrequest 0 1 0 30\n")
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        key = directive.split()[0]
+        assert f"line 2: {key} takes exactly one value, got 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("router", ["unit-ospf", "genadapt-reuse"])
+    @pytest.mark.parametrize("kb, message", [("nope.kb", "No such file or directory"), (".", "Is a directory")])
+    def test_unreadable_kb_file_exits_one_naming_its_line(
+        self, tmp_path, capsys, monkeypatch, router, kb, message
+    ):
+        # read at load, whether or not the router would use it
+        path = tmp_path / "bad.scenario"
+        path.write_text(f"network mnp 3\nrouter {router}\nkb {kb}\nrequest 0 1 0 30\n")
+        monkeypatch.setattr(cli, "run_scenario", None)  # refused at load: any run would fail
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"kb: line 3: {kb}: " in err and message in err
+
+    def test_too_deeply_nested_kb_file_exits_one_naming_both_lines(self, tmp_path, capsys):
+        (tmp_path / "deep.kb").write_text(f"0.0 {DEEP_FORMULA}\n")
+        path = tmp_path / "bad.scenario"
+        path.write_text("network mnp 3\nkb deep.kb\nrequest 0 1 0 30\n")
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "kb: line 2: deep.kb: line 1: parentheses nested beyond the depth bound 15 at offset 15" in err
 
     def test_gp_settings_at_their_bounds_run(self, tmp_path):
         path = tmp_path / "edge.scenario"
@@ -298,6 +342,23 @@ class TestTransfer:
         assert main(args + ["--router", "genadapt-reuse", "--kb", str(kb_file)]) == 1
         err = capsys.readouterr().err
         assert "line 1" in err and "'1e400' is not finite" in err
+
+    def test_import_too_deeply_nested_exits_one_naming_the_line(self, tmp_path, capsys):
+        kb_file = tmp_path / "kb.txt"
+        kb_file.write_text(f"0.0 {DEEP_FORMULA}\n")
+        assert main(["transfer", "import", "--kb", str(kb_file)]) == 1
+        assert "line 1: parentheses nested beyond the depth bound 15" in capsys.readouterr().err
+
+    def test_run_with_too_deeply_nested_kb_exits_one_naming_the_line(self, tmp_path, capsys):
+        kb_file = tmp_path / "kb.txt"
+        kb_file.write_text(f"0.0 {DEEP_FORMULA}\n")
+        args = ["run", "--scenario", scenario_path("mnp3_2"), "--out", str(tmp_path / "out")]
+        assert main(args + ["--kb", str(kb_file)]) == 1
+        assert "line 1: parentheses nested beyond the depth bound 15" in capsys.readouterr().err
+
+    def test_import_directory_exits_one(self, tmp_path, capsys):
+        assert main(["transfer", "import", "--kb", str(tmp_path)]) == 1
+        assert str(tmp_path) in capsys.readouterr().err
 
     def test_run_with_imported_kb(self, tmp_path):
         kb_file = tmp_path / "kb.txt"
@@ -404,6 +465,14 @@ class TestCompare:
         )
         assert code == 1
         assert "duplicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds, chunk", [("abc", "abc"), ("1-2-3", "1-2-3"), ("0-2,3-x", "3-x")])
+    def test_malformed_seeds_exit_one(self, tmp_path, capsys, seeds, chunk):
+        out = tmp_path / "cmp"
+        args = ["compare", "--scenario", scenario_path("fig1"), "--out", str(out), "--seeds", seeds]
+        assert main(args) == 1
+        assert f"seeds: {chunk!r} is neither a seed nor a range LO-HI" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_router_rejected(self, tmp_path):
         code = main(

@@ -1,7 +1,7 @@
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_FORMULA, dense_throughputs, scenario_path
@@ -298,11 +298,12 @@ class TestKnowledgeBaseFile:
             result.state.retained,
         )
 
-    def test_parsed_once_per_scenario(self, tmp_path, monkeypatch):
+    def test_parsed_at_load_and_only_read_by_runs(self, tmp_path, monkeypatch):
         kb_file = tmp_path / "kb.txt"
         kb_file.write_text(f"1.5 {EXAMPLE_FORMULA}\n1.9 ((dl / threshold) * util)\n")
-        scenario = load_scenario(scenario_path("mnp5_2"))
-        scenario.kb_path = str(kb_file)
+        path = tmp_path / "warm.scenario"
+        with open(scenario_path("mnp5_2")) as fh:
+            path.write_text(fh.read() + "kb kb.txt\n")
         imports = []
         real = sim.import_kb
 
@@ -311,28 +312,34 @@ class TestKnowledgeBaseFile:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sim, "import_kb", counting)
-        runs = [run_scenario(scenario, seed=seed, router="genadapt-reuse") for seed in range(3)]
-        assert len(imports) == 1
-        for seed, result in enumerate(runs):
+        scenario = load_scenario(str(path))
+        assert imports == [(str(kb_file),)]
+        assert scenario.kb == (
+            Individual(parse_expr(EXAMPLE_FORMULA), None),
+            Individual(parse_expr("((dl / threshold) * util)"), None),
+        )
+        kb = scenario.kb
+        for seed in range(3):
+            result = run_scenario(scenario, seed=seed, router="genadapt-reuse")
             assert result.metrics.planner_invocations >= 1
             fresh = run_scenario(scenario, seed=seed, router="genadapt-reuse", kb=real(str(kb_file)))
             assert self.outcome(result) == self.outcome(fresh)
-
-        # the runs left the parsed formulas as they were read
-        parsed = scenario.knowledge_base()
-        assert parsed is scenario.knowledge_base()
-        assert [(ind.expr, ind.fitness) for ind in parsed] == [
-            (parse_expr(EXAMPLE_FORMULA), None),
-            (parse_expr("((dl / threshold) * util)"), None),
-        ]
         assert len(imports) == 1
+        assert scenario.kb is kb  # the runs left the parsed formulas as they were read
 
-        # another file is read afresh
-        other = tmp_path / "other.txt"
-        other.write_text("0.5 util\n")
-        scenario.kb_path = str(other)
-        assert [ind.expr for ind in scenario.knowledge_base()] == [parse_expr("util")]
-        assert len(imports) == 2
+    def test_parsed_under_the_scenarios_max_depth(self, tmp_path):
+        # depth 3, over a max_depth set after the kb line
+        (tmp_path / "kb.txt").write_text("0.5 ((util + bw) * dl)\n")
+        path = tmp_path / "s.scenario"
+        path.write_text("network mnp 3\nkb kb.txt\nmax_depth 2\nrequest 0 1 0 30\n")
+        message = "kb: line 2: kb.txt: line 1: formula depth 3 exceeds bound 2"
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(str(path))
+
+    def test_reuse_without_a_kb_line_is_refused_at_run(self, fig1_scenario):
+        assert fig1_scenario.kb is None
+        with pytest.raises(ScenarioError, match="requires a knowledge-base file"):
+            run_scenario(fig1_scenario, router="genadapt-reuse")
 
     def test_run_leaves_the_given_formulas_unchanged(self):
         kb = [Individual(parse_expr(EXAMPLE_FORMULA)), Individual(parse_expr("util"), 1.5)]
@@ -349,11 +356,6 @@ class TestKnowledgeBaseFile:
         assert all(ind.fitness is not None for ind in retained)
         assert not any(ind is given for ind in retained for given in kb)
 
-    def test_unread_when_the_router_needs_none(self, fig1_scenario, monkeypatch):
-        fig1_scenario.kb_path = "no-such.kb"
-        monkeypatch.setattr(sim, "import_kb", None)  # any call would fail
-        assert run_scenario(fig1_scenario, router="genadapt").metrics.planner_invocations >= 1
-
 
 class TestScenarioFiles:
     def test_fig1_fields(self, fig1_scenario):
@@ -364,7 +366,7 @@ class TestScenarioFiles:
         assert fig1_scenario.gp.max_generations == 300
 
     def test_missing_file(self):
-        with pytest.raises(ScenarioError, match="nope.scenario"):
+        with pytest.raises(FileNotFoundError, match="nope.scenario"):
             load_scenario("nope.scenario")
 
     def test_unknown_directive_names_line(self, tmp_path):
@@ -400,3 +402,67 @@ class TestScenarioFiles:
         path.write_text("network file net.txt\nrequest 0 1 0 30\n")
         scenario = load_scenario(str(path))
         assert scenario.network.n_nodes == 5
+
+
+# what a single-value directive's argument may look like in a hand-written file
+_TOKENS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats(-0.5, 1.5).map(repr),
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "abc", *sim.ROUTERS]),
+    st.just("warm.kb"),  # a kb file beside the scenario
+)
+# one value is the legal count, so it is drawn as often as any other count
+_ARGS = st.one_of(st.lists(_TOKENS, min_size=1, max_size=1), st.lists(_TOKENS, max_size=3))
+
+
+def _field_value(scenario, owner, name):
+    """The value a single-value directive set on a loaded scenario."""
+    if owner == "gp":
+        return getattr(scenario.gp, name)
+    if owner == "topology":  # every generated link has the same bw and dl
+        (value,) = set(scenario.network.bws if name == "bw" else scenario.network.dls)
+        return value
+    return getattr(scenario, name)
+
+
+class TestSingleValueDirectives:
+    @pytest.fixture(scope="class")
+    def scenario_dir(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("single")
+        (base / "warm.kb").write_text(f"1.5 {EXAMPLE_FORMULA}\n0.5 util\n")
+        return base
+
+    def test_one_table_reads_all_fourteen(self):
+        assert set(sim.SCENARIO_KEYS) == {
+            "link_bw", "link_dl", "threshold", "duration", "router", "seed", "kb",
+            "population", "max_generations", "crossover_rate", "mutation_rate",
+            "tournament", "max_depth", "early_stop",
+        }
+
+    @pytest.mark.parametrize("key", sorted(sim.SCENARIO_KEYS))
+    def test_sets_its_field_or_names_its_line(self, scenario_dir, key):
+        owner, name, conv, _, _ = sim.SCENARIO_KEYS[key]
+        path = scenario_dir / f"{key}.scenario"
+
+        # a legal value for every directive, so each one's success branch is taken
+        @example(tokens=["0.5"])
+        @example(tokens=["7"])
+        @example(tokens=["genadapt-reuse"])
+        @example(tokens=["warm.kb"])
+        @settings(max_examples=100, deadline=None)
+        @given(tokens=_ARGS)
+        def check(tokens):
+            path.write_text(f"network mnp 3\n{key} {' '.join(tokens)}\nrequest 0 1 0 30\n")
+            try:
+                scenario = load_scenario(str(path))
+            except ScenarioError as exc:
+                assert "line 2" in str(exc)
+                return
+            assert len(tokens) == 1
+            expected = conv(tokens[0])
+            if key == "kb":
+                expected = tuple(sim.import_kb(str(scenario_dir / expected), scenario.gp.max_depth))
+            assert _field_value(scenario, owner, name) == expected
+
+        check()
