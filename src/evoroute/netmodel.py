@@ -155,9 +155,6 @@ class Network:
             raise NetworkError(f"unknown link id {link_id}")
         return self.links[link_id]
 
-    def out_links(self, node: int) -> list[Link]:
-        return [self.links[e] for _, e in self.out_by_dst[node]]
-
     def validate_flow(self, flow: Flow) -> None:
         """Check that a flow path is a directed simple path in this network."""
         if not flow.path:
@@ -184,17 +181,6 @@ class Snapshot(NamedTuple):
     t: float
     flows: tuple[Flow, ...]
     util: dict[int, float]  # per loaded link id; a link that is absent is idle (0.0)
-
-
-def throughput(
-    network: Network,
-    flows: Sequence[Flow],
-    bandwidths: Mapping[int, float],
-    link_id: int,
-) -> float:
-    """Total bandwidth (Mbps) of the flows whose path traverses the given link."""
-    network.link(link_id)
-    return sum(bandwidths[f.request] for f in flows if link_id in f.path)
 
 
 def link_throughputs(
@@ -240,16 +226,21 @@ def make_snapshot(
     return Snapshot(t, tuple(flows), link_utilizations(network, flows, bandwidths))
 
 
-def _check_weights(network: Network, weights: Sequence[int]) -> None:
+def _check_weights(network: Network, weights: Sequence[int]) -> int:
     """Every link needs a weight of at least 1, and the weights, indexed by
-    link id, must cover exactly the links: ``len`` and ``min`` check it."""
+    link id, must cover exactly the links: ``len`` and ``min`` check it.
+    Returns the smallest weight, 0 on a network without links."""
     n_links = len(network.links)
     if len(weights) < n_links:
         raise NetworkError(f"weight missing for link {len(weights)}")
     if len(weights) > n_links:
         raise NetworkError(f"{len(weights)} weights for {n_links} links")
-    if weights and min(weights) < 1:
-        raise NetworkError(f"weight for link {weights.index(min(weights))} must be >= 1")
+    if not weights:
+        return 0
+    lo = min(weights)
+    if lo < 1:
+        raise NetworkError(f"weight for link {weights.index(lo)} must be >= 1")
+    return lo
 
 
 def shortest_weighted_path(
@@ -266,13 +257,15 @@ def shortest_weighted_path(
         raise NetworkError("src and dst must differ")
     if not (0 <= src < network.n_nodes and 0 <= dst < network.n_nodes):
         raise NetworkError(f"node out of range: src={src} dst={dst}")
-    _check_weights(network, weights)
+    lo = _check_weights(network, weights)
 
-    # Settle distances to dst over in-links, stopping once every node nearer
-    # to dst than src is settled; then walk from src, at each node taking
-    # the smallest-id neighbour that stays on a shortest path. The greedy
-    # walk yields the lexicographically smallest node sequence, and since
-    # weights are >= 1 the distance strictly falls at each step.
+    # Settle distances to dst over in-links until the first pop d with
+    # d + lo >= dist[src]. The stop is exact: a node nearer to dst than
+    # dist[src] has its next hop nearer than dist[src] - lo <= d, which is
+    # settled, so that node's distance is final, and so is src's. Then walk
+    # from src, at each node taking the smallest-id neighbour that stays on a
+    # shortest path: the walk yields the lexicographically smallest node
+    # sequence, and since weights are >= 1 the distance falls at each step.
     inf = math.inf
     dist = [inf] * network.n_nodes
     dist[dst] = 0
@@ -280,7 +273,7 @@ def shortest_weighted_path(
     into = network.in_links
     while heap:
         d, v = heapq.heappop(heap)
-        if d >= dist[src]:
+        if d + lo >= dist[src]:
             break
         if d > dist[v]:
             continue

@@ -312,10 +312,12 @@ def load_scenario(path: str) -> Scenario:
     ``burst SRC DST PER_BURST BURSTS SPACING BD``. Settings outside their
     ranges are refused, naming the line that set them; so are a ``network
     file`` or ``kb`` file that cannot be read or parsed (the ``kb`` file is
-    parsed here, under the scenario's ``max_depth``), a request whose
-    endpoint is no node or whose destination no directed path reaches from
-    its source, and a ``duration`` that does not exceed the last arrival's
-    tick (``ceil(arrival)``), so that no tick would admit that request.
+    parsed here, under the scenario's ``max_depth``), a ``link_bw`` or
+    ``link_dl`` beside a ``network file`` (the file sets every link's),
+    a request whose endpoint is no node or whose destination no directed
+    path reaches from its source, and a ``duration`` that does not exceed
+    the last arrival's tick (``ceil(arrival)``), so that no tick would
+    admit that request.
     """
     base = os.path.dirname(os.path.abspath(path))
     net_spec: tuple | None = None
@@ -382,6 +384,11 @@ def load_scenario(path: str) -> Scenario:
 
     _require(net_spec is not None, "network: no network directive in scenario")
     kind, value, lineno = net_spec
+    if kind == "file" and settings["topology"]:  # the file sets every link's bw and dl
+        at, key = min((lines[k], k) for k in ("link_bw", "link_dl") if k in lines)
+        raise ScenarioError(
+            f"{key}: line {at}: applies only to generated networks (full, mnp), not network file"
+        )
     try:
         if kind == "file":
             network = load_network(os.path.join(base, value))

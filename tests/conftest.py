@@ -30,6 +30,12 @@ def dense_throughputs(network, flows, bandwidths):
     return thr
 
 
+def throughput(flows, bandwidths, link_id):
+    """Total bandwidth (Mbps) of the flows whose path traverses the given
+    link: the one-link reference ``link_throughputs`` is checked against."""
+    return sum(bandwidths[f.request] for f in flows if link_id in f.path)
+
+
 @pytest.fixture
 def example_expr():
     return parse_expr(EXAMPLE_FORMULA)

@@ -246,6 +246,28 @@ class TestScenarioValidation:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("network file net.txt\nlink_bw 50\n", "link_bw: line 2: "),
+            ("link_dl 5\nnetwork file net.txt\n", "link_dl: line 1: "),
+            ("network file net.txt\nlink_bw 50\nlink_dl 5\n", "link_bw: line 2: "),  # the first one
+        ],
+        ids=["link_bw", "link_dl-first", "both"],
+    )
+    def test_link_setting_under_a_network_file_exits_one_naming_its_line(
+        self, tmp_path, capsys, monkeypatch, text, message
+    ):
+        # the file sets every link's bandwidth and delay, so these would go unread
+        (tmp_path / "net.txt").write_text("nodes 2\nlink 0 0 1 100 25\nlink 1 1 0 100 25\n")
+        path = tmp_path / "bad.scenario"
+        path.write_text(f"{text}request 0 1 0 30\n")
+        monkeypatch.setattr(cli, "run_scenario", None)  # refused at load: any run would fail
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message + "applies only to generated networks (full, mnp), not network file" in err
+
+    @pytest.mark.parametrize(
         "directive",
         ["threshold 0.5 0.9", "population 10 20", "router unit-ospf genadapt", "duration 50 5", "seed 1 2"],
     )

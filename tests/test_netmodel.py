@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import throughput
 from evoroute.netmodel import (
     ConfigError,
     Flow,
@@ -21,7 +22,6 @@ from evoroute.netmodel import (
     mnp_topology,
     save_network,
     shortest_weighted_path,
-    throughput,
     unit_weights,
 )
 
@@ -43,15 +43,9 @@ def brute_force_shortest(network, weights, src, dst):
             if best is None or key < best[0]:
                 best = (key, tuple(links))
             return
-        for link in network.out_links(node):
-            if link.dst not in visited:
-                dfs(
-                    link.dst,
-                    visited | {link.dst},
-                    links + [link.id],
-                    nodes + (link.dst,),
-                    cost + weights[link.id],
-                )
+        for v, e in network.out_by_dst[node]:
+            if v not in visited:
+                dfs(v, visited | {v}, links + [e], nodes + (v,), cost + weights[e])
 
     dfs(src, {src}, [], (src,), 0)
     return None if best is None else best[1]
@@ -72,15 +66,14 @@ def reference_shortest(network, weights, src, dst):
         settled.add(u)
         if u == dst:
             return path
-        for link in network.out_links(u):
-            v = link.dst
+        for v, e in network.out_by_dst[u]:
             if v in settled:
                 continue
-            entry = (dist + weights[link.id], nodes + (v,))
+            entry = (dist + weights[e], nodes + (v,))
             if v in pushed and entry >= pushed[v]:
                 continue
             pushed[v] = entry
-            heapq.heappush(heap, (entry[0], entry[1], path + (link.id,)))
+            heapq.heappush(heap, (entry[0], entry[1], path + (e,)))
     return None
 
 
@@ -162,24 +155,24 @@ class TestBasics:
 class TestThroughputUtilization:
     def test_two_flows_sum(self, fig1):
         flows = [Flow(0, (0,)), Flow(1, (0,))]
-        assert throughput(fig1, flows, {0: 30, 1: 30}, 0) == 60
+        assert link_throughputs(fig1, flows, {0: 30, 1: 30}) == {0: 60}
 
     def test_no_flows(self, fig1):
-        assert throughput(fig1, [], {}, 0) == 0
+        assert link_throughputs(fig1, [], {}) == {}
 
     def test_single_flow(self, fig1):
-        assert throughput(fig1, [Flow(0, (0,))], {0: 30}, 0) == 30
+        assert link_throughputs(fig1, [Flow(0, (0,))], {0: 30}) == {0: 30}
 
     def test_unknown_link(self, fig1):
-        with pytest.raises(NetworkError):
-            throughput(fig1, [], {}, 999)
+        with pytest.raises(NetworkError, match="unknown link id 999"):
+            fig1.link(999)
 
     def test_link_throughputs_match_per_link_throughput(self, fig1):
         flows = [Flow(0, (0,)), Flow(1, (2, 4)), Flow(2, (0,))]
         bw = {0: 30.0, 1: 45.0, 2: 12.5}
         thr = link_throughputs(fig1, flows, bw)
         # links 0, 2 and 4 are loaded; the others are idle and have no entry
-        assert thr == {e: throughput(fig1, flows, bw, e) for e in (0, 2, 4)}
+        assert thr == {e: throughput(flows, bw, e) for e in (0, 2, 4)}
         assert link_utilizations(fig1, flows, bw) == {e: t / fig1.bws[e] for e, t in thr.items()}
 
     def test_zero_demand_flows_load_no_link(self, fig1):
@@ -203,9 +196,11 @@ class TestShortestPath:
         weights[0] = 4
         assert shortest_weighted_path(fig1, weights, 0, 1) == (2, 4)
 
-    def test_unreachable(self):
+    @pytest.mark.parametrize("weight", [1, 500])
+    def test_unreachable(self, weight):
         net = Network(3, [Link(0, 0, 1, 100, 25)])
-        assert shortest_weighted_path(net, [1], 0, 2) is None
+        assert shortest_weighted_path(net, [weight], 0, 2) is None
+        assert shortest_weighted_path(Network(2, []), [], 0, 1) is None
 
     def test_same_node_rejected(self, fig1):
         with pytest.raises(NetworkError):
@@ -222,11 +217,12 @@ class TestShortestPath:
             shortest_weighted_path(fig1, [1] * 11, 0, 1)
 
     def test_long_list_rejected(self, fig1):
-        with pytest.raises(NetworkError):
+        with pytest.raises(NetworkError, match="13 weights for 12 links"):
             shortest_weighted_path(fig1, [1] * 13, 0, 1)
 
-    def test_zero_weight_in_list_rejected(self, fig1):
-        weights = [1] * 12
+    @pytest.mark.parametrize("floor", [1, 500])
+    def test_zero_weight_in_list_rejected(self, fig1, floor):
+        weights = [floor] * 12
         weights[5] = 0
         with pytest.raises(NetworkError, match="link 5 must be >= 1"):
             shortest_weighted_path(fig1, weights, 0, 1)
@@ -262,23 +258,36 @@ class TestShortestPath:
 
 @st.composite
 def routing_cases(draw):
-    """A random directed graph with small weights, so that equal-cost paths
-    are common, and a (src, dst) pair."""
+    """A random directed graph and its link weights. Weights are a floor
+    (1-60) plus a spread of 0, 1, 3 or the floor itself: the smallest weight
+    is mostly above 1, so a route that stopped one smallest weight early
+    would show, and equal-cost paths are common, across hop counts too when
+    the spread is the floor (2f = f + f)."""
     n = draw(st.integers(min_value=2, max_value=7))
     pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    # each pair linked or not, as a coin flip: drawn as one list, the links
+    # would mostly be few, and two-hop detours rare
+    linked = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    chosen = draw(st.permutations([p for p, keep in zip(pairs, linked) if keep]))
     net = Network(n, [Link(i, s, d, 100, 25) for i, (s, d) in enumerate(chosen)])
-    weights = draw(st.lists(st.integers(1, 4), min_size=len(chosen), max_size=len(chosen)))
-    src, dst = draw(st.sampled_from(pairs))
-    return net, weights, src, dst
+    floor = draw(st.integers(1, 60))
+    spread = draw(st.sampled_from([0, 1, 3, floor]))
+    weights = draw(st.lists(st.integers(floor, floor + spread), min_size=len(chosen), max_size=len(chosen)))
+    return net, weights
 
 
 @settings(max_examples=300, deadline=None)
 @given(routing_cases())
 def test_shortest_path_matches_brute_force(case):
-    net, weights, src, dst = case
-    expected = brute_force_shortest(net, weights, src, dst)
-    assert shortest_weighted_path(net, weights, src, dst) == expected
+    """Every pair of each graph, unreachable ones included: a stop one
+    smallest weight early misroutes few pairs of a small graph, so a check
+    of one drawn pair would seldom see it."""
+    net, weights = case
+    for src in range(net.n_nodes):
+        for dst in range(net.n_nodes):
+            if src != dst:
+                expected = brute_force_shortest(net, weights, src, dst)
+                assert shortest_weighted_path(net, weights, src, dst) == expected, (src, dst)
 
 
 def _assert_matches_reference(net, weights, pairs):
@@ -298,6 +307,26 @@ def test_dense_graphs_match_reference(n, spread):
         weights = [rng.randint(1, spread) for _ in net.links]
         pairs = [tuple(rng.sample(range(n), 2)) for _ in range(150)]
         _assert_matches_reference(net, weights, pairs)
+
+
+@pytest.mark.parametrize("floor", [1, 500])
+def test_uniform_floor_with_one_heavy_link_matches_reference(floor):
+    """Complete graphs where every weight is the floor but one heavy direct
+    link: the planner's case on a dense network with one loaded link, where
+    a route settles only a few nodes before it stops. A floor of 500 is an
+    inverse-bw-like weight (1e5 / 200 Mbps). Heavy weights just above, at
+    and around twice the floor make the two-hop detours cost more than,
+    the same as and less than the direct link."""
+    rng = random.Random(floor)
+    n = 20
+    net = full_topology(n)
+    every_pair = [(s, d) for s in range(n) for d in range(n) if s != d]
+    for heavy in (floor + 1, 2 * floor - 1, 2 * floor, 2 * floor + 1, 3 * floor):
+        for link in [net.links[n - 2], *rng.sample(net.links, 12)]:  # 0 -> n-1 first
+            weights = [floor] * len(net.links)
+            weights[link.id] = heavy
+            pairs = every_pair if link.id == n - 2 else [(link.src, link.dst)]
+            _assert_matches_reference(net, weights, pairs)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -345,9 +374,9 @@ class TestTopologies:
             if node == 1:
                 paths.append(tuple(links))
                 return
-            for link in net.out_links(node):
-                if link.dst not in visited:
-                    dfs(link.dst, visited | {link.dst}, links + [link.id])
+            for v, e in net.out_by_dst[node]:
+                if v not in visited:
+                    dfs(v, visited | {v}, links + [e])
 
         dfs(0, {0}, [])
         assert len(paths) == k
