@@ -49,6 +49,8 @@ def cmd_run(args) -> int:
     if args.kb and router not in ADAPTIVE_ROUTERS:
         # a file no run reads would change nothing
         raise ScenarioError(f"kb: router {router} never reads --kb; use genadapt or genadapt-reuse")
+    if scenario.kb is not None and router != "genadapt-reuse":
+        raise ScenarioError(f"kb: router {router} never reads the scenario's kb file; use genadapt-reuse")
     kb = import_kb(args.kb, max_depth=scenario.gp.max_depth) if args.kb else None
     result = run_scenario(scenario, seed=args.seed, router=router, kb=kb)
     os.makedirs(args.out, exist_ok=True)
@@ -75,6 +77,8 @@ def cmd_compare(args) -> int:
     seeds = _parse_seeds(args.seeds)
     if args.kb and "genadapt-reuse" not in routers:
         raise ScenarioError("kb: --kb warms only genadapt-reuse runs, and --routers has none")
+    if scenario.kb is not None and "genadapt-reuse" not in routers:
+        raise ScenarioError(f"kb: only genadapt-reuse reads a scenario kb; --routers {args.routers} has none")
     kb = import_kb(args.kb, max_depth=scenario.gp.max_depth) if args.kb else None
 
     os.makedirs(args.out, exist_ok=True)

@@ -41,12 +41,13 @@ class AdaptationState:
 
 def detect(snapshot: Snapshot, threshold: float) -> bool:
     """Congested iff some link utilization strictly exceeds the threshold."""
-    return max(snapshot.util.values(), default=0.0) > threshold
+    return snapshot.peak > threshold
 
 
 def adapt_step(
     network: Network,
     snapshot: Snapshot,
+    tick: int,
     bandwidths: Mapping[int, float],
     state: AdaptationState,
     config: GpConfig,
@@ -54,9 +55,10 @@ def adapt_step(
 ) -> list[Flow]:
     """One congested tick of the loop: plan and install a new formula.
 
-    The caller has found the snapshot congested (``detect``). Returns the
-    re-routed flow set to apply atomically. The retained formulas are
-    replaced with the top half of the planner's final population.
+    The caller has found the snapshot congested (``detect``) on ``tick``,
+    which may be later than the tick that built it. Returns the re-routed
+    flow set to apply atomically. The retained formulas are replaced with
+    the top half of the planner's final population.
     """
     start = time.perf_counter()
     result: PlanResult = gen_plan(
@@ -66,8 +68,8 @@ def adapt_step(
     state.active_expr = result.best.expr
     state.log.append(
         InvocationRecord(
-            tick=int(snapshot.t),
-            max_util=max(snapshot.util.values(), default=0.0),
+            tick=tick,
+            max_util=snapshot.peak,
             generations=result.generations,
             best_fitness=result.best.fitness,
             wallclock_ms=wall_ms,

@@ -176,11 +176,12 @@ class Network:
 
 
 class Snapshot(NamedTuple):
-    """Monitored network state at one instant: live flows and per-link utilization."""
+    """Monitored state of a set of flows under given demands."""
 
-    t: float
     flows: tuple[Flow, ...]
     util: dict[int, float]  # per loaded link id; a link that is absent is idle (0.0)
+    peak: float  # the largest utilization, 0.0 when no link is loaded
+    excess: float  # throughput above capacity (Mbps), summed over the links
 
 
 def link_throughputs(
@@ -221,9 +222,17 @@ def link_utilizations(
 
 
 def make_snapshot(
-    network: Network, t: float, flows: Sequence[Flow], bandwidths: Mapping[int, float]
+    network: Network, flows: Sequence[Flow], bandwidths: Mapping[int, float]
 ) -> Snapshot:
-    return Snapshot(t, tuple(flows), link_utilizations(network, flows, bandwidths))
+    """One walk over the flows: the excess is summed over the overloaded links
+    in link-id order, then the throughputs become utilizations in place."""
+    bws = network.bws
+    util = link_throughputs(network, flows, bandwidths)
+    over = sorted([e for e, x in util.items() if x > bws[e]])
+    excess = sum([util[e] - bws[e] for e in over], 0.0)
+    for e, x in util.items():
+        util[e] = x / bws[e]
+    return Snapshot(tuple(flows), util, max(util.values(), default=0.0), excess)
 
 
 def _check_weights(network: Network, weights: Sequence[int]) -> int:

@@ -182,17 +182,15 @@ def compute_surrogate(
     bandwidths: Mapping[int, float],
     expr: Expr,
     threshold: float,
-    keep: LinkInputs | None = None,
+    keep: LinkInputs,
 ) -> list[Flow]:
     """Re-route the bad flows one by one under the candidate formula.
 
-    Utilization starts from the kept flows only (``keep``, when the caller
-    has their link inputs already; it is not changed); after each placement
-    but the last the weights of the links on the new path are refreshed. A
-    flow whose destination is unreachable keeps its original path.
+    Utilization starts from the kept flows only: ``keep`` holds their link
+    inputs, and is not changed. After each placement but the last the
+    weights of the links on the new path are refreshed. A flow whose
+    destination is unreachable keeps its original path.
     """
-    if keep is None:
-        keep = link_inputs(network, link_utilizations(network, keep_flows, bandwidths))
     util = dict(keep.util)
     get = util.get
     weigh = formula_weigher(expr, threshold)

@@ -7,7 +7,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from random import Random
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .expr import DEFAULT_MAX_DEPTH
 from .loop import AdaptationState, KbImportError, adapt_step, detect, import_kb
@@ -16,7 +16,6 @@ from .netmodel import (
     Network,
     Request,
     full_topology,
-    link_throughputs,
     link_utilizations,
     load_network,
     make_snapshot,
@@ -98,14 +97,6 @@ def route_request(
     return Flow(request.id, path)
 
 
-def loss_excess(network: Network, thr: Mapping[int, float]) -> float:
-    """Throughput above capacity (Mbps), summed over the loaded links in
-    link-id order; links at or under capacity add nothing."""
-    bws = network.bws
-    over = [e for e, x in thr.items() if x > bws[e]]
-    return sum([thr[e] - bws[e] for e in sorted(over)], 0.0) if over else 0.0
-
-
 def packet_loss_proxy(
     excess_total: float, demand_total: float
 ) -> float:
@@ -154,9 +145,9 @@ def run_scenario(
 
     # The event index, by tick: the requests arriving on it, in (arrival, id)
     # order, and those whose profile starts a segment on it after they
-    # arrived (profiles are sorted, so demand changes nowhere else). Per-link
-    # state is recomputed from scratch only on these ticks and the tick after
-    # a plan; in between, the same floats carry over.
+    # arrived (profiles are sorted, so demand changes nowhere else). The
+    # snapshot is rebuilt only on these ticks and right after a plan; in
+    # between, the same floats carry over.
     arrivals: dict[int, list[Request]] = {}
     changes: dict[int, list[Request]] = {}
     for r in sorted(scenario.requests, key=lambda r: (r.arrival, r.id)):
@@ -167,39 +158,37 @@ def run_scenario(
     # order; a request not yet arrived holds 0.0, which leaves the sum exact
     bandwidths = dict.fromkeys([r.id for r in scenario.requests], 0.0)
     demand = 0.0
-    stale = True  # flows or demands changed since the last snapshot
+    snapshot = None  # the monitored state of the flows that persist; None once they change
 
     for t in range(duration):
         changed, arrived = changes.get(t, ()), arrivals.get(t, ())
         if changed or arrived:
             bandwidths.update([(r.id, r.bd(t)) for r in (*changed, *arrived)])
             demand = sum(bandwidths.values())
-            stale = stale or bool(changed)
+            if changed:
+                snapshot = None
 
         # admit arrivals, routing each under the weights of the moment
         for req in arrived:
             if state.active_expr is not None:
-                util = link_utilizations(network, list(flows.values()), bandwidths) if stale else snapshot.util
+                util = snapshot.util if snapshot else link_utilizations(network, list(flows.values()), bandwidths)
                 weigh = weigh or formula_weigher(state.active_expr, gp.threshold)
                 weights = link_weights(link_inputs(network, util), weigh)
             else:
                 weights = baseline
             flows[req.id] = route_request(network, weights, req)
-            stale = True
+            snapshot = None
 
-        if stale:
-            snapshot = make_snapshot(network, t, list(flows.values()), bandwidths)
-            congested = detect(snapshot, gp.threshold)
-            max_util = max(snapshot.util.values(), default=0.0)
+        if snapshot is None:
+            snapshot = make_snapshot(network, list(flows.values()), bandwidths)
+        congested = detect(snapshot, gp.threshold)
+        max_util = snapshot.peak
 
-        installed = congested and adaptive
-        if installed:
-            # the snapshot is this tick's: congestion starts only on a tick
-            # that rebuilt it, and a plan marks the next tick stale, so
-            # every planning tick is a rebuilding one
-            new_flows = adapt_step(network, snapshot, bandwidths, state, gp, rng)
-            flows = {f.request: f for f in new_flows}
+        if congested and adaptive:
+            flows = {f.request: f for f in adapt_step(network, snapshot, t, bandwidths, state, gp, rng)}
             weigh = None
+            # the re-routed flows persist through this tick
+            snapshot = make_snapshot(network, list(flows.values()), bandwidths)
 
         if congested:
             metrics.congestion_duration += 1
@@ -210,10 +199,7 @@ def run_scenario(
             in_congestion_run = False
 
         # loss proxy accounts the state that persists through this tick
-        if stale or installed:
-            excess = loss_excess(network, link_throughputs(network, list(flows.values()), bandwidths))
-        stale = installed
-        excess_total += excess
+        excess_total += snapshot.excess
         demand_total += demand
 
         trace.append(

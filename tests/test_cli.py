@@ -115,6 +115,27 @@ class TestRun:
         assert "never reads --kb" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "scenario_router, router",
+        [("genadapt", None), ("genadapt-reuse", "genadapt"), ("genadapt-reuse", "unit-ospf")],
+    )
+    def test_scenario_kb_under_a_router_that_never_reads_it_exits_one(
+        self, tmp_path, capsys, mnp3_kb, scenario_router, router
+    ):
+        path = tmp_path / "kb.scenario"
+        path.write_text(f"network mnp 3\nrouter {scenario_router}\nkb {mnp3_kb.name}\nrequest 0 1 0 90\n")
+        out = tmp_path / "out"
+        args = ["run", "--scenario", str(path), "--out", str(out)]
+        assert main(args + (["--router", router] if router else [])) == 1
+        err = capsys.readouterr().err
+        assert f"kb: router {router or scenario_router} never reads the scenario's kb file" in err
+        assert not out.exists()
+
+    def test_scenario_kb_warms_the_reuse_router(self, tmp_path, mnp3_kb):
+        path = tmp_path / "kb.scenario"
+        path.write_text(f"network mnp 3\nrouter genadapt-reuse\nkb {mnp3_kb.name}\nrequest 0 1 0 90\n")
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+
 
 class TestScenarioValidation:
     @pytest.mark.parametrize(
@@ -472,6 +493,18 @@ class TestCompare:
         assert main(["compare", "--scenario", scenario_path("fig1"), "--out", str(out), *args]) == 1
         assert "--routers has none" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("routers, code", [("unit-ospf,genadapt", 1), ("unit-ospf,genadapt-reuse", 0)])
+    def test_scenario_kb_needs_a_reuse_router(self, tmp_path, capsys, mnp3_kb, routers, code):
+        path = tmp_path / "kb.scenario"
+        path.write_text(f"network mnp 3\nkb {mnp3_kb.name}\nrequest 0 1 0 90\n")
+        out = tmp_path / "cmp"
+        args = ["compare", "--scenario", str(path), "--out", str(out), "--routers", routers, "--seeds", "0-1"]
+        assert main(args) == code
+        if code:
+            err = capsys.readouterr().err
+            assert f"kb: only genadapt-reuse reads a scenario kb; --routers {routers} has none" in err
+            assert not out.exists()
 
     def test_duplicate_seeds_rejected(self, tmp_path, capsys):
         code = main(

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import dense_throughputs
 
-from evoroute import sim
 from evoroute.expr import grow_random
-from evoroute.netmodel import Flow, Link, Network, link_throughputs, link_utilizations
+from evoroute.netmodel import Flow, Link, Network, link_throughputs, link_utilizations, make_snapshot
 from evoroute.planner import (
     evaluate_plan,
     find_flows_causing_congestion,
@@ -107,11 +106,17 @@ def test_peak_and_worst_link_equal_the_dense_ones(case):
 @settings(max_examples=150, deadline=None)
 @given(loaded_networks())
 def test_loss_excess_equals_the_dense_sum(case):
+    # the snapshot's one walk gives the excess, the utilizations and their peak
     network, flows, bandwidths = case
     dense = dense_throughputs(network, flows, bandwidths)
     expected = float(sum(x - bw for x, bw in zip(dense, network.bws) if x > bw))
-    got = sim.loss_excess(network, link_throughputs(network, flows, bandwidths))
-    assert got.hex() == expected.hex()
+    snapshot = make_snapshot(network, flows, bandwidths)
+    assert snapshot.excess.hex() == expected.hex()
+    dense_util = dense_utilizations(network, flows, bandwidths)
+    assert bits(expand(network, snapshot.util)) == bits(dense_util)
+    assert set(snapshot.util) == set(link_throughputs(network, flows, bandwidths))
+    assert snapshot.peak.hex() == max(dense_util).hex()
+    assert snapshot.flows == tuple(flows)
 
 
 @settings(max_examples=150, deadline=None)

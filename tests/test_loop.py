@@ -21,7 +21,7 @@ def fig1():
 
 
 def snapshot_with_utils(utils):
-    return Snapshot(0.0, (), dict(enumerate(utils)))
+    return Snapshot((), dict(enumerate(utils)), max(utils, default=0.0), 0.0)
 
 
 class TestDetect:
@@ -39,10 +39,10 @@ class TestAdaptStep:
     def test_congestion_installs_formula(self, fig1):
         bw = {i: 30.0 for i in range(3)}
         flows = [Flow(i, (0,)) for i in range(3)]
-        snap = make_snapshot(fig1, 5.0, flows, bw)
+        snap = make_snapshot(fig1, flows, bw)
         state = AdaptationState()
         new_flows = adapt_step(
-            fig1, snap, bw, state, GpConfig(max_generations=300), random.Random(1)
+            fig1, snap, 5, bw, state, GpConfig(max_generations=300), random.Random(1)
         )
         assert max(link_utilizations(fig1, new_flows, bw).values()) <= 0.8
         assert state.active_expr is not None
@@ -53,9 +53,9 @@ class TestAdaptStep:
     def test_next_round_bootstraps_retained(self, fig1):
         bw = {i: 30.0 for i in range(3)}
         flows = [Flow(i, (0,)) for i in range(3)]
-        snap = make_snapshot(fig1, 0.0, flows, bw)
+        snap = make_snapshot(fig1, flows, bw)
         state = AdaptationState()
-        adapt_step(fig1, snap, bw, state, GpConfig(max_generations=300), random.Random(1))
+        adapt_step(fig1, snap, 0, bw, state, GpConfig(max_generations=300), random.Random(1))
         prior = [ind.expr for ind in state.retained]
         result = gen_plan(
             fig1, flows, bw, state.retained, GpConfig(max_generations=0), random.Random(2)

@@ -183,8 +183,9 @@ class TestThroughputUtilization:
     def test_snapshot_roundtrip(self, fig1):
         flows = [Flow(0, (0,)), Flow(1, (2, 4))]
         bw = {0: 30.0, 1: 45.0}
-        snap = make_snapshot(fig1, 3.0, flows, bw)
+        snap = make_snapshot(fig1, flows, bw)
         assert snap.util == link_utilizations(fig1, flows, bw)
+        assert (snap.flows, snap.peak, snap.excess) == (tuple(flows), 0.45, 0.0)
 
 
 class TestShortestPath:

@@ -147,18 +147,23 @@ class TestFindFlows:
         assert max(link_utilizations(fig1, remaining, bw).values()) == pytest.approx(0.5)
 
 
+def kept_inputs(network, keep_flows, bandwidths):
+    """The link inputs of the kept flows, as ``gen_plan`` passes them."""
+    return link_inputs(network, link_utilizations(network, keep_flows, bandwidths))
+
+
 class TestComputeSurrogate:
     def test_fig1_reroute(self, fig1, example_expr):
         keep = [Flow(0, (0,)), Flow(1, (0,))]
         bad = [Flow(2, (0,))]
-        new = compute_surrogate(fig1, keep, bad, BW3, example_expr, 0.8)
+        new = compute_surrogate(fig1, keep, bad, BW3, example_expr, 0.8, kept_inputs(fig1, keep, BW3))
         by_req = {f.request: f for f in new}
         assert by_req[2].path == (2, 4)  # 0 -> 2 -> 1
         assert by_req[0].path == (0,) and by_req[1].path == (0,)
 
     def test_empty_bad(self, fig1, example_expr):
         keep = [Flow(0, (0,))]
-        assert compute_surrogate(fig1, keep, [], BW3, example_expr, 0.8) == keep
+        assert compute_surrogate(fig1, keep, [], BW3, example_expr, 0.8, kept_inputs(fig1, keep, BW3)) == keep
 
     def test_sequential_diversion(self, fig1, example_expr):
         # the first reroute fills the two-hop path to 0.6 and its weights jump
@@ -166,14 +171,15 @@ class TestComputeSurrogate:
         keep = [Flow(0, (0,)), Flow(1, (0,))]
         bad = [Flow(2, (0,)), Flow(3, (0,))]
         bw = {0: 30.0, 1: 30.0, 2: 60.0, 3: 30.0}
-        new = {f.request: f for f in compute_surrogate(fig1, keep, bad, bw, example_expr, 0.8)}
+        inputs = kept_inputs(fig1, keep, bw)
+        new = {f.request: f for f in compute_surrogate(fig1, keep, bad, bw, example_expr, 0.8, inputs)}
         assert new[2].path == (2, 4)
         assert new[3].path == (6, 8, 10)
 
     def test_request_set_preserved(self, fig1, example_expr):
         keep = [Flow(0, (0,))]
         bad = [Flow(1, (0,)), Flow(2, (0,))]
-        new = compute_surrogate(fig1, keep, bad, BW3, example_expr, 0.8)
+        new = compute_surrogate(fig1, keep, bad, BW3, example_expr, 0.8, kept_inputs(fig1, keep, BW3))
         assert sorted(f.request for f in new) == [0, 1, 2]
 
 
@@ -216,7 +222,8 @@ class TestSurrogateStopsAfterLastPath:
     @given(surrogate_cases())
     def test_matches_reference(self, case):
         network, keep, bad, bandwidths, expr = case
-        assert compute_surrogate(network, keep, bad, bandwidths, expr, 0.8) == reference_surrogate(
+        inputs = kept_inputs(network, keep, bandwidths)
+        assert compute_surrogate(network, keep, bad, bandwidths, expr, 0.8, inputs) == reference_surrogate(
             network, keep, bad, bandwidths, expr, 0.8
         )
 
@@ -237,7 +244,7 @@ class TestSurrogateStopsAfterLastPath:
         monkeypatch.setattr(planner, "shortest_weighted_path", counting_route)
         bad = [Flow(r, (0,)) for r in range(n_bad)]
         bandwidths = {r: 20.0 + r for r in range(n_bad)}
-        compute_surrogate(fig1, [], bad, bandwidths, example_expr, 0.8)
+        compute_surrogate(fig1, [], bad, bandwidths, example_expr, 0.8, kept_inputs(fig1, [], bandwidths))
         # one evaluation for the idle links' class, then each flow takes link
         # 0 and every placement but the last re-weighs it at a new load
         assert events == ["eval", "route"] * n_bad

@@ -34,6 +34,10 @@ from evoroute.sim import (
 )
 
 
+def dense_excess(network, thr):
+    return sum(x - bw for x, bw in zip(thr, network.bws) if x > bw)
+
+
 def reference_run(scenario, seed, router, kb):
     """The tick loop ``run_scenario`` ran before it recomputed per-link state
     only on change ticks: every tick rebuilds the demands, the utilizations,
@@ -68,14 +72,14 @@ def reference_run(scenario, seed, router, kb):
         max_util = max(util, default=0.0)
         congested = max_util > gp.threshold
         if congested and adaptive:
-            snapshot = Snapshot(t, tuple(flows.values()), dict(enumerate(util)))
-            flows = {f.request: f for f in adapt_step(network, snapshot, bandwidths, state, gp, rng)}
+            excess = dense_excess(network, thr)
+            snapshot = Snapshot(tuple(flows.values()), dict(enumerate(util)), max_util, excess)
+            flows = {f.request: f for f in adapt_step(network, snapshot, t, bandwidths, state, gp, rng)}
         if congested:
             metrics.congestion_duration += 1
             metrics.congestion_occurrences += not in_run
         in_run = congested
-        thr = dense_throughputs(network, flows.values(), bandwidths)
-        excess_total += sum(x - bw for x, bw in zip(thr, network.bws) if x > bw)
+        excess_total += dense_excess(network, dense_throughputs(network, flows.values(), bandwidths))
         demand_total += sum(bandwidths.values())
         trace.append(TickRow(t, max_util, congested, len(flows), len(state.log)))
     metrics.packet_loss_proxy = packet_loss_proxy(excess_total, demand_total)
@@ -124,6 +128,16 @@ def small_scenarios(draw):
     return Scenario(network, requests, duration=duration, gp=gp)
 
 
+# A plan on every tick: the snapshot built right after tick 1's plan serves
+# tick 2's detection, which must still log tick 2, not the tick it was built.
+_PLAN_EVERY_TICK = Scenario(
+    mnp_topology(3),
+    [Request.constant(0, 0, 1, 0.0, 90.0), Request.constant(1, 0, 1, 0.5, 90.0)],
+    duration=6,
+    gp=GpConfig(population_size=6, tournament_size=3, max_generations=2, max_depth=5),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     small_scenarios(),
@@ -131,6 +145,7 @@ def small_scenarios(draw):
     st.integers(0, 3),
     st.booleans(),
 )
+@example(_PLAN_EVERY_TICK, "genadapt", 0, False)
 def test_run_matches_per_tick_reference(scenario, router, seed, warm):
     # a warm knowledge base holds the example formula, which weighs links by
     # utilization, so that arrivals after a plan avoid the loaded links
