@@ -1,8 +1,6 @@
 """Operator command line: run scenarios, compare routers over seed batches,
 transfer knowledge bases, and generate topology files."""
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys
@@ -126,6 +124,10 @@ def cmd_compare(args) -> int:
 def cmd_transfer(args) -> int:
     if args.transfer_cmd == "export":
         scenario = load_scenario(args.scenario)
+        if scenario.kb is not None:
+            raise ScenarioError(
+                "kb: transfer export runs genadapt cold and never reads the scenario's kb file"
+            )
         result = run_scenario(scenario, seed=args.seed, router="genadapt")
         retained = result.state.retained
         if not retained:

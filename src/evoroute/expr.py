@@ -6,8 +6,6 @@ is near zero) so evaluation is total. Trees are immutable; every random
 operation takes the caller's seeded generator.
 """
 
-from __future__ import annotations
-
 import math
 import re
 from random import Random

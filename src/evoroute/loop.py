@@ -2,12 +2,10 @@
 and the knowledge base of retained formulas reused across rounds and
 exportable to other networks."""
 
-from __future__ import annotations
-
 import time
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from random import Random
-from typing import Mapping, Sequence
+from typing import NamedTuple
 
 from .expr import DEFAULT_MAX_DEPTH, depth, format_expr, parse_expr
 from .netmodel import Flow, Network, Snapshot
@@ -18,8 +16,7 @@ class KbImportError(ValueError):
     pass
 
 
-@dataclass
-class InvocationRecord:
+class InvocationRecord(NamedTuple):
     tick: int
     max_util: float
     generations: int
@@ -28,15 +25,17 @@ class InvocationRecord:
     formula: str
 
 
-@dataclass
 class AdaptationState:
     """What the loop has installed so far and how it got there."""
 
-    active_expr: object = None  # Expr or None (None = baseline unit weights)
-    log: list[InvocationRecord] = field(default_factory=list)
-    # the knowledge base: the best formulas of the last planning round,
-    # ascending by fitness, that seed the next round
-    retained: list[Individual] = field(default_factory=list)
+    __slots__ = ("active_expr", "log", "retained")
+
+    def __init__(self, retained: Sequence[Individual] = ()):
+        self.active_expr = None  # Expr or None (None = baseline unit weights)
+        self.log: list[InvocationRecord] = []
+        # the knowledge base: the best formulas of the last planning round,
+        # ascending by fitness, that seed the next round
+        self.retained: list[Individual] = list(retained)
 
 
 def detect(snapshot: Snapshot, threshold: float) -> bool:

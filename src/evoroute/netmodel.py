@@ -5,14 +5,13 @@ snapshots never change after construction, and all operations are pure
 functions. Link weights are positive integers supplied by the caller.
 """
 
-from __future__ import annotations
-
 import heapq
 import math
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 
 class NetworkError(ValueError):
@@ -23,56 +22,76 @@ class ConfigError(ValueError):
     """Invalid topology-generator or scenario configuration."""
 
 
-@dataclass(frozen=True)
-class Link:
-    """A directed link with static bandwidth (Mbps) and delay (ms)."""
-
+class _LinkFields(NamedTuple):
     id: int
     src: int
     dst: int
     bw: float
     dl: float
 
-    def __post_init__(self):
-        if self.src == self.dst:
-            raise NetworkError(f"link {self.id}: self-loop on node {self.src}")
-        # written so that NaN fails too
-        if not 0 < self.bw < math.inf:
-            raise NetworkError(f"link {self.id}: bandwidth must be finite and > 0, got {self.bw}")
-        if not 0 < self.dl < math.inf:
-            raise NetworkError(f"link {self.id}: delay must be finite and > 0, got {self.dl}")
 
+class Link(_LinkFields):
+    """A directed link with static bandwidth (Mbps) and delay (ms).
 
-@dataclass(frozen=True)
-class Request:
-    """A data-transmission demand from node s to node d.
-
-    The bandwidth profile is piecewise constant: ``profile`` holds
-    (start_time, mbps) segments sorted by start time. Bundled scenarios use
-    a single constant segment.
+    Every way to build one checks it: the constructor, ``_make`` and
+    ``_replace``, which calls ``_make``.
     """
 
+    __slots__ = ()
+
+    def __new__(cls, id: int, src: int, dst: int, bw: float, dl: float) -> "Link":
+        if src == dst:
+            raise NetworkError(f"link {id}: self-loop on node {src}")
+        # written so that NaN fails too
+        if not 0 < bw < math.inf:
+            raise NetworkError(f"link {id}: bandwidth must be finite and > 0, got {bw}")
+        if not 0 < dl < math.inf:
+            raise NetworkError(f"link {id}: delay must be finite and > 0, got {dl}")
+        return tuple.__new__(cls, (id, src, dst, bw, dl))
+
+    @classmethod
+    def _make(cls, iterable) -> "Link":
+        return cls(*iterable)
+
+
+class _RequestFields(NamedTuple):
     id: int
     s: int
     d: int
     arrival: float
     profile: tuple[tuple[float, float], ...]
 
-    def __post_init__(self):
-        if self.s == self.d:
-            raise NetworkError(f"request {self.id}: source equals destination ({self.s})")
+
+class Request(_RequestFields):
+    """A data-transmission demand from node s to node d.
+
+    The bandwidth profile is piecewise constant: ``profile`` holds
+    (start_time, mbps) segments sorted by start time. Bundled scenarios use
+    a single constant segment. Checked as ``Link`` is, however built.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, id: int, s: int, d: int, arrival: float, profile: tuple[tuple[float, float], ...]
+    ) -> "Request":
+        if s == d:
+            raise NetworkError(f"request {id}: source equals destination ({s})")
         # written so that NaN fails too
-        if not 0 <= self.arrival < math.inf:
-            raise NetworkError(
-                f"request {self.id}: arrival must be finite and >= 0, got {self.arrival}"
-            )
-        if not self.profile:
-            raise NetworkError(f"request {self.id}: empty bandwidth profile")
-        if not all(0 <= bd < math.inf for _, bd in self.profile):
-            raise NetworkError(f"request {self.id}: bandwidth must be finite and >= 0")
-        starts = [start for start, _ in self.profile]
+        if not 0 <= arrival < math.inf:
+            raise NetworkError(f"request {id}: arrival must be finite and >= 0, got {arrival}")
+        if not profile:
+            raise NetworkError(f"request {id}: empty bandwidth profile")
+        if not all(0 <= bd < math.inf for _, bd in profile):
+            raise NetworkError(f"request {id}: bandwidth must be finite and >= 0")
+        starts = [start for start, _ in profile]
         if not all(a < b for a, b in zip(starts, starts[1:])):
-            raise NetworkError(f"request {self.id}: profile start times must be strictly increasing")
+            raise NetworkError(f"request {id}: profile start times must be strictly increasing")
+        return tuple.__new__(cls, (id, s, d, arrival, profile))
+
+    @classmethod
+    def _make(cls, iterable) -> "Request":
+        return cls(*iterable)
 
     @classmethod
     def constant(cls, id: int, s: int, d: int, arrival: float, bd: float) -> "Request":
@@ -91,7 +110,11 @@ class Request:
 
 @dataclass(frozen=True)
 class Flow:
-    """The directed link-path currently serving one request."""
+    """The directed link-path currently serving one request.
+
+    The one record that stays a dataclass: callers build a changed copy of
+    a flow with ``dataclasses.replace``.
+    """
 
     request: int
     path: tuple[int, ...]

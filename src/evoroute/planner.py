@@ -1,13 +1,11 @@
 """Congestion planner: bad-flow selection, surrogate re-routing, the
 three-part fitness, and the generational search over weight formulas."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping, Sequence
 from itertools import starmap
 from operator import attrgetter
 from random import Random
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .expr import (
     DEFAULT_MAX_DEPTH,
@@ -28,8 +26,7 @@ from .netmodel import (
 )
 
 
-@dataclass
-class GpConfig:
+class GpConfig(NamedTuple):
     """Search parameters; the defaults are the evaluated configuration."""
 
     population_size: int = 10
@@ -53,8 +50,7 @@ class Individual(NamedTuple):
 _FITNESS = attrgetter("fitness")
 
 
-@dataclass
-class PlanResult:
+class PlanResult(NamedTuple):
     best: Individual
     new_flows: list[Flow]
     retained: list[Individual]

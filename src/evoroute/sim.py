@@ -1,13 +1,11 @@
 """Time-stepped scenario execution: arrivals, routing under the active weight
 formula, per-tick monitoring and adaptation, and outcome metrics."""
 
-from __future__ import annotations
-
 import math
 import os
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from random import Random
-from typing import Sequence
+from typing import NamedTuple
 
 from .expr import DEFAULT_MAX_DEPTH
 from .loop import AdaptationState, KbImportError, adapt_step, detect, import_kb
@@ -35,13 +33,12 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     network: Network
     requests: list[Request]
     duration: int | None = None
     router: str = "genadapt"
-    gp: GpConfig = field(default_factory=GpConfig)
+    gp: GpConfig = GpConfig()  # immutable, so one default serves every scenario
     seed: int = 0
     kb: tuple[Individual, ...] | None = None  # the ``kb`` file's formulas, parsed at load
 
@@ -52,16 +49,14 @@ class Scenario:
         return int(math.ceil(last)) + 10
 
 
-@dataclass
-class MetricsRecord:
-    congestion_occurrences: int = 0
-    congestion_duration: int = 0  # seconds (ticks) spent congested
-    packet_loss_proxy: float = 0.0
-    planner_invocations: int = 0
+class MetricsRecord(NamedTuple):
+    congestion_occurrences: int
+    congestion_duration: int  # seconds (ticks) spent congested
+    packet_loss_proxy: float
+    planner_invocations: int
 
 
-@dataclass
-class TickRow:
+class TickRow(NamedTuple):
     t: int
     max_util: float
     congested: bool
@@ -69,8 +64,7 @@ class TickRow:
     formula_id: int
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     metrics: MetricsRecord
     trace: list[TickRow]
     flows: dict[int, Flow]  # request id -> final flow
@@ -135,10 +129,10 @@ def run_scenario(
     weigh = None  # the active formula's weigher, kept until the next install
 
     rng = Random(seed)
-    state = AdaptationState(retained=list(kb or ()))
+    state = AdaptationState(retained=kb or ())
     flows: dict[int, Flow] = {}
-    metrics = MetricsRecord()
     trace: list[TickRow] = []
+    occurrences = congested_ticks = 0
     in_congestion_run = False
     excess_total = 0.0
     demand_total = 0.0
@@ -191,9 +185,9 @@ def run_scenario(
             snapshot = make_snapshot(network, list(flows.values()), bandwidths)
 
         if congested:
-            metrics.congestion_duration += 1
+            congested_ticks += 1
             if not in_congestion_run:
-                metrics.congestion_occurrences += 1
+                occurrences += 1
             in_congestion_run = True
         else:
             in_congestion_run = False
@@ -202,18 +196,12 @@ def run_scenario(
         excess_total += snapshot.excess
         demand_total += demand
 
-        trace.append(
-            TickRow(
-                t=t,
-                max_util=max_util,
-                congested=congested,
-                flow_count=len(flows),
-                formula_id=len(state.log),
-            )
-        )
+        # positional: the cheapest way to build a row
+        trace.append(TickRow(t, max_util, congested, len(flows), len(state.log)))
 
-    metrics.packet_loss_proxy = packet_loss_proxy(excess_total, demand_total)
-    metrics.planner_invocations = len(state.log)
+    metrics = MetricsRecord(
+        occurrences, congested_ticks, packet_loss_proxy(excess_total, demand_total), len(state.log)
+    )
     return RunResult(metrics, trace, flows, state)
 
 

@@ -355,6 +355,16 @@ class TestTransfer:
         assert main(["transfer", "import", "--kb", str(kb_file)]) == 0
         assert "5 formulas accepted" in capsys.readouterr().out
 
+    def test_export_from_a_scenario_with_a_kb_line_exits_one(self, tmp_path, capsys, mnp3_kb):
+        # export always plans cold, so a kb line would change nothing
+        path = tmp_path / "kb.scenario"
+        path.write_text(f"network mnp 3\nrouter genadapt-reuse\nkb {mnp3_kb.name}\nrequest 0 1 0 90\n")
+        out = tmp_path / "out.kb"
+        assert main(["transfer", "export", "--scenario", str(path), "--out", str(out), "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "kb: transfer export runs genadapt cold and never reads the scenario's kb file" in err
+        assert not out.exists()
+
     def test_import_empty_warns(self, tmp_path, capsys):
         kb_file = tmp_path / "kb.txt"
         kb_file.write_text("")

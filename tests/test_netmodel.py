@@ -1,5 +1,6 @@
 import heapq
 import random
+import re
 from math import inf, nan
 
 import pytest
@@ -24,6 +25,10 @@ from evoroute.netmodel import (
     shortest_weighted_path,
     unit_weights,
 )
+
+
+LINK = Link(0, 0, 1, 100.0, 25.0)
+REQUEST = Request.constant(0, 0, 1, 0.0, 30.0)
 
 
 @pytest.fixture
@@ -121,6 +126,28 @@ class TestBasics:
     def test_request_profile_starts_strictly_increasing(self, profile):
         with pytest.raises(NetworkError, match="strictly increasing"):
             Request(0, 0, 1, 0.0, profile)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Link._make((0, 1, 1, 100.0, 25.0)), "link 0: self-loop on node 1"),
+            (lambda: LINK._replace(bw=0.0), "link 0: bandwidth must be finite and > 0, got 0.0"),
+            (lambda: LINK._replace(dl=nan), "link 0: delay must be finite and > 0, got nan"),
+            (lambda: REQUEST._replace(profile=()), "request 0: empty bandwidth profile"),
+            (
+                lambda: Request._make((0, 0, 1, 0.0, ((5.0, 30.0), (0.0, 50.0)))),
+                "request 0: profile start times must be strictly increasing",
+            ),
+        ],
+    )
+    def test_make_and_replace_check_like_the_constructor(self, build, message):
+        with pytest.raises(NetworkError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_make_and_replace_keep_the_type(self):
+        assert type(LINK._replace(bw=50.0)) is Link and LINK._replace(bw=50.0).bw == 50.0
+        assert type(Link._make(LINK)) is Link and Link._make(LINK) == LINK
+        assert type(REQUEST._replace(arrival=2.0)) is Request and Request._make(REQUEST) == REQUEST
 
     def test_network_rejects_duplicate_pair(self):
         links = [Link(0, 0, 1, 100, 25), Link(1, 0, 1, 100, 25)]

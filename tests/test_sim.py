@@ -53,8 +53,8 @@ def reference_run(scenario, seed, router, kb):
     state = AdaptationState(retained=list(kb))
     flows = {}
     pending = sorted(scenario.requests, key=lambda r: (r.arrival, r.id))
-    metrics = MetricsRecord()
     trace = []
+    occurrences = congested_ticks = 0
     in_run = False
     excess_total = demand_total = 0.0
     for t in range(scenario.resolved_duration()):
@@ -76,14 +76,15 @@ def reference_run(scenario, seed, router, kb):
             snapshot = Snapshot(tuple(flows.values()), dict(enumerate(util)), max_util, excess)
             flows = {f.request: f for f in adapt_step(network, snapshot, t, bandwidths, state, gp, rng)}
         if congested:
-            metrics.congestion_duration += 1
-            metrics.congestion_occurrences += not in_run
+            congested_ticks += 1
+            occurrences += not in_run
         in_run = congested
         excess_total += dense_excess(network, dense_throughputs(network, flows.values(), bandwidths))
         demand_total += sum(bandwidths.values())
         trace.append(TickRow(t, max_util, congested, len(flows), len(state.log)))
-    metrics.packet_loss_proxy = packet_loss_proxy(excess_total, demand_total)
-    metrics.planner_invocations = len(state.log)
+    metrics = MetricsRecord(
+        occurrences, congested_ticks, packet_loss_proxy(excess_total, demand_total), len(state.log)
+    )
     return trace, metrics, flows, state
 
 
