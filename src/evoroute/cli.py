@@ -6,13 +6,15 @@ import os
 import sys
 
 from .loop import KbImportError, export_kb, import_kb
-from .netmodel import ConfigError, NetworkError, full_topology, mnp_topology, save_network
+from .netmodel import TOPOLOGIES, ConfigError, NetworkError, save_network
 from .sim import (
     ADAPTIVE_ROUTERS,
-    MetricsRecord,
+    METRICS_COLUMNS,
     ROUTERS,
+    MetricsRecord,
     ScenarioError,
     load_scenario,
+    metrics_row,
     run_scenario,
     write_invocations_csv,
     write_metrics_csv,
@@ -24,24 +26,44 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
-def _parse_seeds(text: str) -> list[int]:
-    seeds: list[int] = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        try:
-            if "-" in chunk and not chunk.startswith("-"):
-                lo, hi = chunk.split("-", 1)
-                seeds.extend(range(int(lo), int(hi) + 1))
-            elif chunk:
-                seeds.append(int(chunk))
-        except ValueError:
-            raise ScenarioError(f"seeds: {chunk!r} is neither a seed nor a range LO-HI") from None
-    if not seeds or len(set(seeds)) != len(seeds):
-        raise ScenarioError("seeds: list must be non-empty and duplicate-free")
-    return seeds
+def _parse_list(text: str, what: str, parse_chunk) -> list:
+    """A comma list of ``what``: each non-blank chunk parsed to its values
+    by ``parse_chunk``; the whole must be non-empty and duplicate-free."""
+    rule = f"{what}: list must be non-empty and duplicate-free"
+    values: dict = {}  # ordered like the text; a set would lose the order
+    for chunk in map(str.strip, text.split(",")):
+        if not chunk:
+            continue
+        for value in parse_chunk(chunk):
+            if value in values:
+                raise ScenarioError(f"{rule}, but {chunk!r} repeats {value!r}")
+            values[value] = None
+    if not values:
+        raise ScenarioError(rule)
+    return list(values)
 
 
-def cmd_run(args) -> int:
+def _seed_chunk(chunk: str) -> range:
+    """A seed ``N`` or an ascending range ``LO-HI``, both ends included."""
+    try:
+        if "-" in chunk and not chunk.startswith("-"):
+            lo, hi = map(int, chunk.split("-", 1))
+        else:
+            lo = hi = int(chunk)
+        if lo > hi:
+            raise ValueError
+    except ValueError:
+        raise ScenarioError(f"seeds: {chunk!r} is neither a seed nor a range LO-HI") from None
+    return range(lo, hi + 1)
+
+
+def _router_chunk(chunk: str) -> tuple[str]:
+    if chunk not in ROUTERS:
+        raise ScenarioError(f"router: unknown value {chunk!r}")
+    return (chunk,)
+
+
+def cmd_run(args) -> None:
     scenario = load_scenario(args.scenario)
     router = args.router or scenario.router
     if args.kb and router not in ADAPTIVE_ROUTERS:
@@ -63,16 +85,12 @@ def cmd_run(args) -> int:
         f"duration={m.congestion_duration}s loss={m.packet_loss_proxy:.6f} "
         f"invocations={m.planner_invocations}"
     )
-    return EXIT_OK
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> None:
     scenario = load_scenario(args.scenario)
-    routers = [r.strip() for r in args.routers.split(",") if r.strip()]
-    for router in routers:
-        if router not in ROUTERS:
-            raise ScenarioError(f"router: unknown value {router!r}")
-    seeds = _parse_seeds(args.seeds)
+    routers = _parse_list(args.routers, "routers", _router_chunk)
+    seeds = _parse_list(args.seeds, "seeds", _seed_chunk)
     if args.kb and "genadapt-reuse" not in routers:
         raise ScenarioError("kb: --kb warms only genadapt-reuse runs, and --routers has none")
     if scenario.kb is not None and "genadapt-reuse" not in routers:
@@ -80,95 +98,71 @@ def cmd_compare(args) -> int:
     kb = import_kb(args.kb, max_depth=scenario.gp.max_depth) if args.kb else None
 
     os.makedirs(args.out, exist_ok=True)
-    rows: list[tuple[str, int, MetricsRecord]] = []
+    metrics: dict[str, list[MetricsRecord]] = {}  # router -> per seed, in --seeds order
     for router in routers:
+        run_kb = kb if router == "genadapt-reuse" else None
+        metrics[router] = []
         for seed in seeds:
-            run_kb = kb if router == "genadapt-reuse" else None
             try:
                 result = run_scenario(scenario, seed=seed, router=router, kb=run_kb)
             except Exception as exc:
                 print(f"run failed for router={router} seed={seed}: {exc}", file=sys.stderr)
                 raise
-            rows.append((router, seed, result.metrics))
+            metrics[router].append(result.metrics)
 
     with open(os.path.join(args.out, "runs.csv"), "w") as fh:
-        fh.write(
-            "router,seed,congestion_occurrences,congestion_duration_s,"
-            "packet_loss_proxy,planner_invocations\n"
-        )
-        for router, seed, m in rows:
-            fh.write(
-                f"{router},{seed},{m.congestion_occurrences},{m.congestion_duration},"
-                f"{m.packet_loss_proxy:.6f},{m.planner_invocations}\n"
-            )
+        fh.write(",".join(("router", "seed", *METRICS_COLUMNS)) + "\n")
+        for router, records in metrics.items():
+            for seed, m in zip(seeds, records):
+                fh.write(f"{router},{seed},{metrics_row(m)}\n")
 
     with open(os.path.join(args.out, "summary.csv"), "w") as fh:
-        fh.write(
-            "router,mean_congestion_occurrences,mean_congestion_duration_s,"
-            "mean_packet_loss_proxy,mean_planner_invocations\n"
-        )
-        for router in routers:
-            ms = [m for r, _, m in rows if r == router]
-            n = len(ms)
-            fh.write(
-                f"{router},"
-                f"{sum(m.congestion_occurrences for m in ms) / n:.6f},"
-                f"{sum(m.congestion_duration for m in ms) / n:.6f},"
-                f"{sum(m.packet_loss_proxy for m in ms) / n:.6f},"
-                f"{sum(m.planner_invocations for m in ms) / n:.6f}\n"
-            )
+        fh.write(",".join(("router", *(f"mean_{c}" for c in METRICS_COLUMNS))) + "\n")
+        for router, records in metrics.items():
+            # per column, summed in seed order
+            means = [sum(column) / len(records) for column in zip(*records)]
+            fh.write(",".join((router, *(f"{mean:.6f}" for mean in means))) + "\n")
     print(f"compared {len(routers)} router(s) x {len(seeds)} seed(s) -> {args.out}")
-    return EXIT_OK
 
 
-def cmd_transfer(args) -> int:
-    if args.transfer_cmd == "export":
-        scenario = load_scenario(args.scenario)
-        if scenario.kb is not None:
-            raise ScenarioError(
-                "kb: transfer export runs genadapt cold and never reads the scenario's kb file"
-            )
-        result = run_scenario(scenario, seed=args.seed, router="genadapt")
-        retained = result.state.retained
-        if not retained:
-            print("no adaptation happened; nothing to export", file=sys.stderr)
-            return EXIT_RUNTIME
-        export_kb(retained, args.out)
-        print(f"exported {len(retained)} formulas to {args.out}")
-        return EXIT_OK
+def cmd_export(args) -> None:
+    scenario = load_scenario(args.scenario)
+    if scenario.kb is not None:
+        raise ScenarioError("kb: transfer export runs genadapt cold and never reads the scenario's kb file")
+    retained = run_scenario(scenario, seed=args.seed, router="genadapt").state.retained
+    export_kb(retained, args.out)
+    print(f"exported {len(retained)} formulas to {args.out}")
+
+
+def cmd_import(args) -> None:
     kb = import_kb(args.kb)
     print(f"{len(kb)} formulas accepted")
     if not kb:
         print("warning: knowledge base is empty", file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_gen_topology(args) -> int:
-    if args.kind == "full":
-        network = full_topology(args.size, args.bw, args.dl)
-    else:
-        network = mnp_topology(args.size, args.bw, args.dl)
+def cmd_gen_topology(args) -> None:
+    network = TOPOLOGIES[args.kind](args.size, args.bw, args.dl)
     save_network(network, args.out)
     print(f"wrote {args.kind} topology: {network.n_nodes} nodes, {len(network.links)} links")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="evoroute")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    # the arguments every scenario-reading command takes first
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--scenario", required=True)
+    io.add_argument("--out", required=True)
 
-    p_run = sub.add_parser("run", help="run one scenario and write trace/metrics CSVs")
-    p_run.add_argument("--scenario", required=True)
-    p_run.add_argument("--out", required=True)
+    p_run = sub.add_parser("run", parents=[io], help="run one scenario and write trace/metrics CSVs")
     p_run.add_argument("--router", choices=ROUTERS)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--kb", help="knowledge-base file to warm-start an adaptive router")
     p_run.add_argument("--kb-out", help="export the final knowledge base here")
     p_run.set_defaults(func=cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="run a router x seed batch and aggregate means")
-    p_cmp.add_argument("--scenario", required=True)
-    p_cmp.add_argument("--out", required=True)
+    p_cmp = sub.add_parser("compare", parents=[io], help="run a router x seed batch and aggregate means")
     p_cmp.add_argument("--routers", default="unit-ospf,genadapt")
     p_cmp.add_argument("--seeds", default="0-29")
     p_cmp.add_argument(
@@ -180,17 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tr = sub.add_parser("transfer", help="export or import a knowledge base")
     tr_sub = p_tr.add_subparsers(dest="transfer_cmd", required=True)
-    p_exp = tr_sub.add_parser("export")
-    p_exp.add_argument("--scenario", required=True)
-    p_exp.add_argument("--out", required=True)
+    p_exp = tr_sub.add_parser("export", parents=[io])
     p_exp.add_argument("--seed", type=int)
-    p_exp.set_defaults(func=cmd_transfer)
+    p_exp.set_defaults(func=cmd_export)
     p_imp = tr_sub.add_parser("import")
     p_imp.add_argument("--kb", required=True)
-    p_imp.set_defaults(func=cmd_transfer)
+    p_imp.set_defaults(func=cmd_import)
 
     p_gen = sub.add_parser("gen-topology", help="write a topology edge-list file")
-    p_gen.add_argument("--kind", choices=("full", "mnp"), required=True)
+    p_gen.add_argument("--kind", choices=tuple(TOPOLOGIES), required=True)
     p_gen.add_argument("--size", type=int, required=True)
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--bw", type=float, default=100.0)
@@ -203,13 +195,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)  # a command fails by raising; main alone picks the exit code
     except (ScenarioError, NetworkError, ConfigError, KbImportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

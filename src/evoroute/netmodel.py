@@ -366,6 +366,10 @@ def mnp_topology(k: int, bw: float = 100.0, dl: float = 25.0) -> Network:
     return Network(next_node, links)
 
 
+# generated topology kind -> its generator, called as generate(size, bw, dl)
+TOPOLOGIES = {"full": full_topology, "mnp": mnp_topology}
+
+
 def unit_weights(network: Network) -> list[int]:
     return [1] * len(network.links)
 

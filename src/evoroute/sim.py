@@ -10,14 +10,13 @@ from typing import NamedTuple
 from .expr import DEFAULT_MAX_DEPTH
 from .loop import AdaptationState, KbImportError, adapt_step, detect, import_kb
 from .netmodel import (
+    TOPOLOGIES,
     Flow,
     Network,
     Request,
-    full_topology,
     link_utilizations,
     load_network,
     make_snapshot,
-    mnp_topology,
     shortest_weighted_path,
     unit_weights,
 )
@@ -54,6 +53,10 @@ class MetricsRecord(NamedTuple):
     congestion_duration: int  # seconds (ticks) spent congested
     packet_loss_proxy: float
     planner_invocations: int
+
+
+# the CSV columns of a MetricsRecord, field by field
+METRICS_COLUMNS = ("congestion_occurrences", "congestion_duration_s", "packet_loss_proxy", "planner_invocations")
 
 
 class TickRow(NamedTuple):
@@ -230,9 +233,7 @@ def _parse_request(rid: int, s: int, d: int, arrival: float, text: str) -> Reque
 
 def _reachable(network: Network, sources: set[int]) -> dict[int, set[int]]:
     """Per source, the nodes some directed path reaches from it, itself included."""
-    succ: list[list[int]] = [[] for _ in range(network.n_nodes)]
-    for link in network.links:
-        succ[link.src].append(link.dst)
+    out = network.out_by_dst
     reach: dict[int, set[int]] = {}
     for src in sources:
         seen = {src}
@@ -242,7 +243,7 @@ def _reachable(network: Network, sources: set[int]) -> dict[int, set[int]]:
             if u in reach:  # an earlier source: what it reaches is reached
                 seen |= reach[u]
                 continue
-            for v in succ[u]:
+            for v, _ in out[u]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
@@ -318,7 +319,7 @@ def load_scenario(path: str) -> Scenario:
                 elif key == "network":
                     _require(len(args) == 2, f"line {lineno}: network needs kind and value")
                     kind = args[0]
-                    _require(kind in ("full", "mnp", "file"), f"line {lineno}: network kind {kind!r}")
+                    _require(kind in TOPOLOGIES or kind == "file", f"line {lineno}: network kind {kind!r}")
                     net_spec = (kind, args[1], lineno)
                 elif key == "request":
                     _require(len(args) == 4, f"line {lineno}: request SRC DST ARRIVAL BD")
@@ -329,6 +330,8 @@ def load_scenario(path: str) -> Scenario:
                     _require(len(args) == 6, f"line {lineno}: burst SRC DST PER_BURST BURSTS SPACING BD")
                     s, d, per_burst, bursts = map(int, args[:4])
                     spacing = float(args[4])
+                    for field, count in (("PER_BURST", per_burst), ("BURSTS", bursts)):
+                        _require(count >= 1, f"line {lineno}: burst {field} must be at least 1, got {count}")
                     _require(spacing > 0, f"line {lineno}: burst spacing must be positive")
                     for b in range(bursts):
                         for _ in range(per_burst):
@@ -361,14 +364,13 @@ def load_scenario(path: str) -> Scenario:
     if kind == "file" and settings["topology"]:  # the file sets every link's bw and dl
         at, key = min((lines[k], k) for k in ("link_bw", "link_dl") if k in lines)
         raise ScenarioError(
-            f"{key}: line {at}: applies only to generated networks (full, mnp), not network file"
+            f"{key}: line {at}: applies only to generated networks ({', '.join(TOPOLOGIES)}), not network file"
         )
     try:
         if kind == "file":
             network = load_network(os.path.join(base, value))
         else:
-            generate = full_topology if kind == "full" else mnp_topology
-            network = generate(int(value), **settings["topology"])
+            network = TOPOLOGIES[kind](int(value), **settings["topology"])
     except (OSError, ValueError) as exc:  # NetworkError and ConfigError included
         raise ScenarioError(f"network: line {lineno}: {exc}") from None
 
@@ -405,15 +407,15 @@ def write_trace_csv(trace: Sequence[TickRow], path: str) -> None:
             )
 
 
+def metrics_row(m: MetricsRecord) -> str:
+    """The ``METRICS_COLUMNS`` values of one record, comma-separated."""
+    return f"{m.congestion_occurrences},{m.congestion_duration},{m.packet_loss_proxy:.6f},{m.planner_invocations}"
+
+
 def write_metrics_csv(metrics: MetricsRecord, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(
-            "congestion_occurrences,congestion_duration_s,packet_loss_proxy,planner_invocations\n"
-        )
-        fh.write(
-            f"{metrics.congestion_occurrences},{metrics.congestion_duration},"
-            f"{metrics.packet_loss_proxy:.6f},{metrics.planner_invocations}\n"
-        )
+        fh.write(",".join(METRICS_COLUMNS) + "\n")
+        fh.write(metrics_row(metrics) + "\n")
 
 
 def write_invocations_csv(state: AdaptationState, path: str) -> None:

@@ -215,6 +215,7 @@ class TestScenarioValidation:
             ("mnp two", "invalid literal"),
             ("file bad.net", "bad.net:3: link 1: bandwidth must be finite and > 0, got nan"),
             ("file nope.net", "No such file or directory"),
+            ("ring 3", "network kind 'ring'"),
         ],
     )
     def test_bad_network_exits_one_naming_the_line(self, tmp_path, capsys, network, message):
@@ -261,6 +262,25 @@ class TestScenarioValidation:
         (tmp_path / "chain.net").write_text("nodes 3\nlink 0 0 1 100 25\nlink 1 1 2 100 25\n")
         path = tmp_path / "bad.scenario"
         path.write_text(f"network file chain.net\nrequest 0 2 0 30\nrequest 1 2 0 30\n{directive}\n")
+        monkeypatch.setattr(cli, "run_scenario", None)  # refused at load: any run would fail
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "burst, message",
+        [
+            ("burst 0 1 -3 2 10 30", "line 3: burst PER_BURST must be at least 1, got -3"),
+            ("burst 0 1 0 2 10 30", "line 3: burst PER_BURST must be at least 1, got 0"),
+            ("burst 0 1 2 0 10 30", "line 3: burst BURSTS must be at least 1, got 0"),
+        ],
+    )
+    def test_burst_count_below_one_exits_one_naming_the_line(
+        self, tmp_path, capsys, monkeypatch, burst, message
+    ):
+        # such a line would add no request, beside one that does
+        path = tmp_path / "bad.scenario"
+        path.write_text(f"network mnp 3\nrequest 0 1 0 30\n{burst}\n")
         monkeypatch.setattr(cli, "run_scenario", None)  # refused at load: any run would fail
         code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
@@ -364,6 +384,20 @@ class TestTransfer:
         err = capsys.readouterr().err
         assert "kb: transfer export runs genadapt cold and never reads the scenario's kb file" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["transfer", "run"])
+    def test_export_without_adaptation_exits_one(self, tmp_path, capsys, command):
+        # one 30 Mbps request never congests a 100 Mbps path, so nothing plans
+        path = tmp_path / "calm.scenario"
+        path.write_text("network mnp 3\nrequest 0 1 0 30\n")
+        kb = tmp_path / "out.kb"
+        if command == "transfer":
+            args = ["transfer", "export", "--scenario", str(path), "--out", str(kb)]
+        else:
+            args = ["run", "--scenario", str(path), "--out", str(tmp_path / "out"), "--kb-out", str(kb)]
+        assert main(args) == 1
+        assert "error: refusing to export an empty knowledge base" in capsys.readouterr().err
+        assert not kb.exists()
 
     def test_import_empty_warns(self, tmp_path, capsys):
         kb_file = tmp_path / "kb.txt"
@@ -529,14 +563,31 @@ class TestCompare:
             ]
         )
         assert code == 1
-        assert "duplicate" in capsys.readouterr().err
+        assert "seeds: list must be non-empty and duplicate-free, but '1' repeats 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seeds, chunk", [("abc", "abc"), ("1-2-3", "1-2-3"), ("0-2,3-x", "3-x")])
+    @pytest.mark.parametrize(
+        "seeds, chunk", [("abc", "abc"), ("1-2-3", "1-2-3"), ("0-2,3-x", "3-x"), ("0-2,5-3", "5-3")]
+    )
     def test_malformed_seeds_exit_one(self, tmp_path, capsys, seeds, chunk):
         out = tmp_path / "cmp"
         args = ["compare", "--scenario", scenario_path("fig1"), "--out", str(out), "--seeds", seeds]
         assert main(args) == 1
         assert f"seeds: {chunk!r} is neither a seed nor a range LO-HI" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "routers, repeat",
+        [
+            ("unit-ospf,unit-ospf", ", but 'unit-ospf' repeats 'unit-ospf'"),
+            ("genadapt, unit-ospf ,genadapt", ", but 'genadapt' repeats 'genadapt'"),
+            (" , ", "\n"),
+        ],
+    )
+    def test_duplicate_or_empty_routers_exit_one(self, tmp_path, capsys, routers, repeat):
+        out = tmp_path / "cmp"
+        args = ["compare", "--scenario", scenario_path("fig1"), "--out", str(out), "--routers", routers]
+        assert main([*args, "--seeds", "0-1"]) == 1
+        assert "error: routers: list must be non-empty and duplicate-free" + repeat in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_router_rejected(self, tmp_path):
