@@ -8,14 +8,15 @@ import sys
 from .loop import KbImportError, export_kb, import_kb
 from .netmodel import TOPOLOGIES, ConfigError, NetworkError, save_network
 from .sim import (
-    ADAPTIVE_ROUTERS,
     METRICS_COLUMNS,
     ROUTERS,
     MetricsRecord,
     ScenarioError,
+    check_kb,
     load_scenario,
     metrics_row,
     run_scenario,
+    with_kb,
     write_invocations_csv,
     write_metrics_csv,
     write_trace_csv,
@@ -65,14 +66,11 @@ def _router_chunk(chunk: str) -> tuple[str]:
 
 def cmd_run(args) -> None:
     scenario = load_scenario(args.scenario)
+    if args.kb:
+        scenario = with_kb(scenario, args.kb, f"kb: --kb {args.kb}")
     router = args.router or scenario.router
-    if args.kb and router not in ADAPTIVE_ROUTERS:
-        # a file no run reads would change nothing
-        raise ScenarioError(f"kb: router {router} never reads --kb; use genadapt or genadapt-reuse")
-    if scenario.kb is not None and router != "genadapt-reuse":
-        raise ScenarioError(f"kb: router {router} never reads the scenario's kb file; use genadapt-reuse")
-    kb = import_kb(args.kb, max_depth=scenario.gp.max_depth) if args.kb else None
-    result = run_scenario(scenario, seed=args.seed, router=router, kb=kb)
+    check_kb(scenario, (router,))
+    result = run_scenario(scenario, seed=args.seed, router=router)
     os.makedirs(args.out, exist_ok=True)
     write_trace_csv(result.trace, os.path.join(args.out, "trace.csv"))
     write_metrics_csv(result.metrics, os.path.join(args.out, "metrics.csv"))
@@ -89,22 +87,19 @@ def cmd_run(args) -> None:
 
 def cmd_compare(args) -> None:
     scenario = load_scenario(args.scenario)
+    if args.kb:
+        scenario = with_kb(scenario, args.kb, f"kb: --kb {args.kb}")
     routers = _parse_list(args.routers, "routers", _router_chunk)
     seeds = _parse_list(args.seeds, "seeds", _seed_chunk)
-    if args.kb and "genadapt-reuse" not in routers:
-        raise ScenarioError("kb: --kb warms only genadapt-reuse runs, and --routers has none")
-    if scenario.kb is not None and "genadapt-reuse" not in routers:
-        raise ScenarioError(f"kb: only genadapt-reuse reads a scenario kb; --routers {args.routers} has none")
-    kb = import_kb(args.kb, max_depth=scenario.gp.max_depth) if args.kb else None
+    check_kb(scenario, routers)
 
     os.makedirs(args.out, exist_ok=True)
     metrics: dict[str, list[MetricsRecord]] = {}  # router -> per seed, in --seeds order
     for router in routers:
-        run_kb = kb if router == "genadapt-reuse" else None
         metrics[router] = []
         for seed in seeds:
             try:
-                result = run_scenario(scenario, seed=seed, router=router, kb=run_kb)
+                result = run_scenario(scenario, seed=seed, router=router)
             except Exception as exc:
                 print(f"run failed for router={router} seed={seed}: {exc}", file=sys.stderr)
                 raise
@@ -127,8 +122,7 @@ def cmd_compare(args) -> None:
 
 def cmd_export(args) -> None:
     scenario = load_scenario(args.scenario)
-    if scenario.kb is not None:
-        raise ScenarioError("kb: transfer export runs genadapt cold and never reads the scenario's kb file")
+    check_kb(scenario, ("genadapt",))  # export plans cold, under genadapt
     retained = run_scenario(scenario, seed=args.seed, router="genadapt").state.retained
     export_kb(retained, args.out)
     print(f"exported {len(retained)} formulas to {args.out}")
@@ -158,18 +152,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", parents=[io], help="run one scenario and write trace/metrics CSVs")
     p_run.add_argument("--router", choices=ROUTERS)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--kb", help="knowledge-base file to warm-start an adaptive router")
+    p_run.add_argument("--kb", help="knowledge-base file for a genadapt-reuse run; replaces a kb line")
     p_run.add_argument("--kb-out", help="export the final knowledge base here")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", parents=[io], help="run a router x seed batch and aggregate means")
     p_cmp.add_argument("--routers", default="unit-ospf,genadapt")
     p_cmp.add_argument("--seeds", default="0-29")
-    p_cmp.add_argument(
-        "--kb",
-        help="knowledge-base file for the genadapt-reuse runs (--routers must include one); "
-        "genadapt runs start cold",
-    )
+    p_cmp.add_argument("--kb", help="knowledge-base file for the genadapt-reuse runs; replaces a kb line")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_tr = sub.add_parser("transfer", help="export or import a knowledge base")

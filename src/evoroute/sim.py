@@ -3,7 +3,7 @@ formula, per-tick monitoring and adaptation, and outcome metrics."""
 
 import math
 import os
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from random import Random
 from typing import NamedTuple
 
@@ -23,7 +23,7 @@ from .netmodel import (
 from .planner import GpConfig, Individual, formula_weigher, link_inputs, link_weights
 
 ROUTERS = ("unit-ospf", "inverse-bw-ospf", "genadapt", "genadapt-reuse")
-ADAPTIVE_ROUTERS = ("genadapt", "genadapt-reuse")  # they plan, and read a knowledge base
+ADAPTIVE_ROUTERS = ("genadapt", "genadapt-reuse")  # they plan
 
 INVERSE_BW_REFERENCE = 1e5  # Mbps; the 100 Gbps reference-bandwidth convention
 
@@ -39,7 +39,8 @@ class Scenario(NamedTuple):
     router: str = "genadapt"
     gp: GpConfig = GpConfig()  # immutable, so one default serves every scenario
     seed: int = 0
-    kb: tuple[Individual, ...] | None = None  # the ``kb`` file's formulas, parsed at load
+    kb: tuple[Individual, ...] | None = None  # the knowledge base's formulas (see ``with_kb``)
+    kb_source: str = "kb"  # names them in messages: "kb: line N: PATH" or "kb: --kb PATH"
 
     def resolved_duration(self) -> int:
         if self.duration is not None:
@@ -103,16 +104,23 @@ def packet_loss_proxy(
     return excess_total / demand_total
 
 
-def run_scenario(
-    scenario: Scenario,
-    seed: int | None = None,
-    router: str | None = None,
-    kb: Sequence[Individual] | None = None,
-) -> RunResult:
+def check_kb(scenario: Scenario, routers: Collection[str]) -> tuple[Individual, ...]:
+    """The knowledge-base rule: ``scenario.kb`` is read by genadapt-reuse runs
+    alone, and each needs a non-empty one. Refuses runs of ``routers`` that
+    break it; returns the formulas a genadapt-reuse run starts from."""
+    name, others = scenario.kb_source, " or ".join(routers)
+    if "genadapt-reuse" not in routers:
+        _require(scenario.kb is None, f"{name}: only genadapt-reuse reads a knowledge base, not {others}")
+        return ()
+    _require(bool(scenario.kb), f"{name}: genadapt-reuse needs a non-empty knowledge base (--kb or a kb line)")
+    return scenario.kb
+
+
+def run_scenario(scenario: Scenario, seed: int | None = None, router: str | None = None) -> RunResult:
     """Execute a scenario tick by tick; optional overrides for batch runs.
 
-    The planner starts from ``kb`` when given, else from the scenario's
-    knowledge base under ``genadapt-reuse`` and from none under the other
+    The planner starts from the scenario's knowledge base under
+    ``genadapt-reuse`` (see ``check_kb``) and from none under the other
     routers. The final formulas are on ``result.state.retained``.
     """
     router = router or scenario.router
@@ -123,16 +131,12 @@ def run_scenario(
     duration = scenario.resolved_duration()
     gp = scenario.gp
 
-    if kb is None and router == "genadapt-reuse":
-        _require(scenario.kb is not None, "kb: genadapt-reuse requires a knowledge-base file")
-        kb = scenario.kb
-
     adaptive = router in ADAPTIVE_ROUTERS
     baseline = inverse_bw_weights(network) if router == "inverse-bw-ospf" else unit_weights(network)
     weigh = None  # the active formula's weigher, kept until the next install
 
     rng = Random(seed)
-    state = AdaptationState(retained=kb or ())
+    state = AdaptationState(check_kb(scenario, (router,)) if router == "genadapt-reuse" else ())
     flows: dict[int, Flow] = {}
     trace: list[TickRow] = []
     occurrences = congested_ticks = 0
@@ -251,6 +255,16 @@ def _reachable(network: Network, sources: set[int]) -> dict[int, set[int]]:
     return reach
 
 
+def with_kb(scenario: Scenario, path: str, source: str) -> Scenario:
+    """``scenario`` with the formulas of knowledge-base file ``path``, parsed
+    under its ``max_depth`` and named ``source``; refuses a bad file."""
+    try:
+        kb = tuple(import_kb(path, max_depth=scenario.gp.max_depth))
+    except (OSError, KbImportError) as exc:
+        raise ScenarioError(f"{source}: {exc}") from None
+    return scenario._replace(kb=kb, kb_source=source)
+
+
 def _finite_positive(value: float) -> bool:
     return 0 < value < math.inf  # written so that NaN fails too
 
@@ -286,13 +300,12 @@ def load_scenario(path: str) -> Scenario:
     ``request SRC DST ARRIVAL BD`` and
     ``burst SRC DST PER_BURST BURSTS SPACING BD``. Settings outside their
     ranges are refused, naming the line that set them; so are a ``network
-    file`` or ``kb`` file that cannot be read or parsed (the ``kb`` file is
-    parsed here, under the scenario's ``max_depth``), a ``link_bw`` or
-    ``link_dl`` beside a ``network file`` (the file sets every link's),
-    a request whose endpoint is no node or whose destination no directed
-    path reaches from its source, and a ``duration`` that does not exceed
-    the last arrival's tick (``ceil(arrival)``), so that no tick would
-    admit that request.
+    file`` or ``kb`` file that cannot be read or parsed (see ``with_kb``), a
+    ``link_bw`` or ``link_dl`` beside a ``network file`` (the file sets
+    every link's), a request whose endpoint is no node or whose destination
+    no directed path reaches from its source, and a ``duration`` that does
+    not exceed the last arrival's tick (``ceil(arrival)``), so that no tick
+    would admit that request.
     """
     base = os.path.dirname(os.path.abspath(path))
     net_spec: tuple | None = None
@@ -352,13 +365,6 @@ def load_scenario(path: str) -> Scenario:
             f"tournament: line {lineno}: tournament size {gp.tournament_size} "
             f"exceeds population {gp.population_size}"
         )
-    kb = settings["scenario"].get("kb")
-    if kb is not None:
-        try:
-            settings["scenario"]["kb"] = tuple(import_kb(os.path.join(base, kb), max_depth=gp.max_depth))
-        except (OSError, KbImportError) as exc:
-            raise ScenarioError(f"kb: line {lines['kb']}: {kb}: {exc}") from None
-
     _require(net_spec is not None, "network: no network directive in scenario")
     kind, value, lineno = net_spec
     if kind == "file" and settings["topology"]:  # the file sets every link's bw and dl
@@ -382,7 +388,10 @@ def load_scenario(path: str) -> Scenario:
     for r, where in zip(requests, request_lines):
         _require(r.d in reach[r.s], f"{where}: destination {r.d} unreachable from {r.s}")
 
+    kb = settings["scenario"].pop("kb", None)
     scenario = Scenario(network, requests, gp=gp, **settings["scenario"])
+    if kb is not None:
+        scenario = with_kb(scenario, os.path.join(base, kb), f"kb: line {lines['kb']}: {kb}")
     # a request arrives on tick ceil(arrival), and ticks run 0..duration-1
     last = math.ceil(max(r.arrival for r in requests))
     if last >= scenario.resolved_duration():

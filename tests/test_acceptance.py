@@ -82,9 +82,9 @@ def seed_batch():
 def test_criterion_1_golden_trace():
     with criterion(1, "motivating-example golden trace"):
         scenario = load_scenario(scenario_path("fig1"))
-        kb = [Individual(parse_expr(EXAMPLE_FORMULA))]
+        warm = scenario._replace(kb=(Individual(parse_expr(EXAMPLE_FORMULA)),))
         start = time.perf_counter()
-        result = run_scenario(scenario, kb=kb)
+        result = run_scenario(warm, router="genadapt-reuse")
         elapsed = time.perf_counter() - start
 
         assert result.metrics.planner_invocations == 1
@@ -208,9 +208,9 @@ def test_criterion_6_knowledge_base_reuse(tmp_path):
         assert plan.initial[:5] == [i.expr for i in kb]
 
         # transfer: the 3-path-trained kb resolves the 5-path subject, 30/30
-        target = load_scenario(scenario_path("mnp5_2"))
+        target = load_scenario(scenario_path("mnp5_2"))._replace(kb=tuple(kb))
         for seed in SEEDS:
-            res = run_scenario(target, seed=seed, router="genadapt-reuse", kb=kb)
+            res = run_scenario(target, seed=seed, router="genadapt-reuse")
             assert res.metrics.congestion_occurrences >= 1, seed
             assert end_state_max_util(target, res) <= 0.8, seed
 

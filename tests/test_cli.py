@@ -4,7 +4,7 @@ import pytest
 
 from conftest import scenario_path
 
-from evoroute import cli
+from evoroute import cli, sim
 from evoroute.cli import main
 
 METRICS = ("congestion_occurrences", "congestion_duration_s", "packet_loss_proxy", "planner_invocations")
@@ -95,46 +95,96 @@ class TestRun:
             )
         assert blobs[0] == blobs[1]
 
-    def test_kb_warm_starts_either_adaptive_router_alike(self, tmp_path, mnp3_kb):
-        blobs = []
-        for router in ("genadapt", "genadapt-reuse"):
-            out = tmp_path / router
-            args = ["--router", router, "--seed", "2", "--kb", str(mnp3_kb), "--kb-out", str(out / "kb")]
-            assert main(["run", "--scenario", scenario_path("mnp5_2"), "--out", str(out), *args]) == 0
-            blobs.append([(out / name).read_bytes() for name in ("trace.csv", "metrics.csv", "kb")])
-        assert blobs[0] == blobs[1]
-
-    @pytest.mark.parametrize("router", ["unit-ospf", "inverse-bw-ospf", None])
-    def test_kb_under_a_static_router_exits_one(self, tmp_path, capsys, mnp3_kb, router):
-        # None: the router comes from the scenario file, which names a static one
-        path = tmp_path / "static.scenario"
-        path.write_text("network mnp 3\nrouter unit-ospf\nrequest 0 1 0 30\n")
+    @pytest.mark.parametrize("router", ["genadapt", None])
+    def test_kb_under_genadapt_exits_one(self, tmp_path, capsys, monkeypatch, mnp3_kb, router):
+        # None: the router comes from the scenario file, which names genadapt
+        monkeypatch.setattr(cli, "run_scenario", None)  # refused before any run
         out = tmp_path / "out"
-        args = ["run", "--scenario", str(path), "--out", str(out), "--kb", str(mnp3_kb)]
+        args = ["run", "--scenario", scenario_path("mnp5_2"), "--out", str(out), "--kb", str(mnp3_kb)]
         assert main(args + (["--router", router] if router else [])) == 1
-        assert "never reads --kb" in capsys.readouterr().err
+        message = f"kb: --kb {mnp3_kb}: only genadapt-reuse reads a knowledge base, not genadapt"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "scenario_router, router",
-        [("genadapt", None), ("genadapt-reuse", "genadapt"), ("genadapt-reuse", "unit-ospf")],
+
+# the knowledge-base rule, per (a genadapt-reuse run among the routers, source):
+# the refusal, or None for a command that runs
+KB_RULE = {
+    (False, "none"): None,
+    (False, "--kb"): "kb: {flag}: only genadapt-reuse reads a knowledge base, not {routers}",
+    (False, "kb line"): "kb: {line}: only genadapt-reuse reads a knowledge base, not {routers}",
+    (False, "both"): "kb: {flag}: only genadapt-reuse reads a knowledge base, not {routers}",
+    (False, "empty --kb"): "kb: {flag}: only genadapt-reuse reads a knowledge base, not {routers}",
+    (False, "empty kb line"): "kb: {line}: only genadapt-reuse reads a knowledge base, not {routers}",
+    (True, "none"): "kb: genadapt-reuse needs a non-empty knowledge base (--kb or a kb line)",
+    (True, "--kb"): None,
+    (True, "kb line"): None,
+    (True, "both"): None,  # --kb replaces the kb line, whose file here is empty
+    (True, "empty --kb"): "kb: {flag}: genadapt-reuse needs a non-empty knowledge base (--kb or a kb line)",
+    (True, "empty kb line"): "kb: {line}: genadapt-reuse needs a non-empty knowledge base (--kb or a kb line)",
+}
+KB_RULE_CASES = [
+    (command, routers, source)
+    for command, routers in [
+        ("run", "unit-ospf"),
+        ("run", "genadapt"),
+        ("run", "genadapt-reuse"),
+        ("compare", "unit-ospf,genadapt"),
+        ("compare", "genadapt,genadapt-reuse"),
+        ("transfer export", "genadapt"),  # it has no --kb, and always plans under genadapt
+    ]
+    for reuse, source in KB_RULE
+    if reuse == ("genadapt-reuse" in routers)
+    and not (command == "transfer export" and source in ("--kb", "both", "empty --kb"))
+]
+
+
+@pytest.mark.parametrize("command, routers, source", KB_RULE_CASES)
+def test_only_genadapt_reuse_reads_a_knowledge_base(
+    tmp_path, capsys, monkeypatch, mnp3_kb, command, routers, source
+):
+    (tmp_path / "empty.kb").write_text("# no formulas\n")
+    line_file = {"kb line": mnp3_kb.name, "both": "empty.kb", "empty kb line": "empty.kb"}.get(source)
+    flag_file = {"--kb": mnp3_kb, "both": mnp3_kb, "empty --kb": tmp_path / "empty.kb"}.get(source)
+    path = tmp_path / "kb.scenario"
+    path.write_text("network mnp 3\n" + (f"kb {line_file}\n" if line_file else "") + "request 0 1 0 90\n")
+    out = tmp_path / "out"
+    args = {
+        "run": ["run", "--router", routers, "--seed", "0"],
+        "compare": ["compare", "--routers", routers, "--seeds", "0-1"],
+        "transfer export": ["transfer", "export", "--seed", "0"],
+    }[command]
+    args += ["--scenario", str(path), "--out", str(out)] + (["--kb", str(flag_file)] if flag_file else [])
+
+    refusal = KB_RULE[("genadapt-reuse" in routers, source)]
+    if refusal is None:
+        assert main(args) == 0
+        assert out.exists()
+        return
+    monkeypatch.setattr(cli, "run_scenario", None)  # refused before any run
+    assert main(args) == 1
+    message = refusal.format(
+        flag=f"--kb {flag_file}", line=f"line 2: {line_file}", routers=routers.replace(",", " or ")
     )
-    def test_scenario_kb_under_a_router_that_never_reads_it_exits_one(
-        self, tmp_path, capsys, mnp3_kb, scenario_router, router
-    ):
-        path = tmp_path / "kb.scenario"
-        path.write_text(f"network mnp 3\nrouter {scenario_router}\nkb {mnp3_kb.name}\nrequest 0 1 0 90\n")
-        out = tmp_path / "out"
-        args = ["run", "--scenario", str(path), "--out", str(out)]
-        assert main(args + (["--router", router] if router else [])) == 1
-        err = capsys.readouterr().err
-        assert f"kb: router {router or scenario_router} never reads the scenario's kb file" in err
-        assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
-    def test_scenario_kb_warms_the_reuse_router(self, tmp_path, mnp3_kb):
-        path = tmp_path / "kb.scenario"
-        path.write_text(f"network mnp 3\nrouter genadapt-reuse\nkb {mnp3_kb.name}\nrequest 0 1 0 90\n")
-        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize(
+    "text, message",
+    [("0.5 (util +\n", "line 1: unexpected end of input at offset 7"), (None, "No such file or directory")],
+)
+def test_bad_kb_file_exits_one_naming_the_flag_and_the_file(tmp_path, capsys, command, text, message):
+    kb = tmp_path / "bad.kb"
+    if text is not None:
+        kb.write_text(text)
+    out = tmp_path / "out"
+    args = [command, "--scenario", scenario_path("mnp5_2"), "--out", str(out), "--kb", str(kb)]
+    assert main(args + ["--routers" if command == "compare" else "--router", "genadapt-reuse"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: kb: --kb {kb}: ") and message in err
+    assert not out.exists()
 
 
 class TestScenarioValidation:
@@ -375,16 +425,6 @@ class TestTransfer:
         assert main(["transfer", "import", "--kb", str(kb_file)]) == 0
         assert "5 formulas accepted" in capsys.readouterr().out
 
-    def test_export_from_a_scenario_with_a_kb_line_exits_one(self, tmp_path, capsys, mnp3_kb):
-        # export always plans cold, so a kb line would change nothing
-        path = tmp_path / "kb.scenario"
-        path.write_text(f"network mnp 3\nrouter genadapt-reuse\nkb {mnp3_kb.name}\nrequest 0 1 0 90\n")
-        out = tmp_path / "out.kb"
-        assert main(["transfer", "export", "--scenario", str(path), "--out", str(out), "--seed", "0"]) == 1
-        err = capsys.readouterr().err
-        assert "kb: transfer export runs genadapt cold and never reads the scenario's kb file" in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("command", ["transfer", "run"])
     def test_export_without_adaptation_exits_one(self, tmp_path, capsys, command):
         # one 30 Mbps request never congests a 100 Mbps path, so nothing plans
@@ -475,6 +515,8 @@ class TestTransfer:
                     str(out),
                     "--seed",
                     "1",
+                    "--router",
+                    "genadapt-reuse",
                     "--kb",
                     str(kb_file),
                 ]
@@ -510,13 +552,13 @@ class TestCompare:
 
     def test_kb_is_read_once_and_warms_only_the_reuse_runs(self, tmp_path, mnp3_kb, monkeypatch):
         imports = []
-        real = cli.import_kb
+        real = sim.import_kb
 
         def counting(*args, **kwargs):
             imports.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "import_kb", counting)
+        monkeypatch.setattr(sim, "import_kb", counting)
         out = tmp_path / "cmp"
         seeds = range(1, 4)  # on seed 3 the warm run's metrics differ from the cold one's
         args = ["--routers", "genadapt,genadapt-reuse", "--seeds", "1-3", "--kb", str(mnp3_kb)]
@@ -531,24 +573,14 @@ class TestCompare:
             assert rows[("genadapt", seed)] == cold
         assert any(rows[("genadapt-reuse", s)] != rows[("genadapt", s)] for s in seeds)
 
-    def test_kb_without_a_reuse_router_exits_one(self, tmp_path, capsys, mnp3_kb):
+    def test_reuse_without_a_knowledge_base_starts_no_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_scenario", None)  # refused before any run
         out = tmp_path / "cmp"
-        args = ["--routers", "unit-ospf,genadapt", "--seeds", "0-1", "--kb", str(mnp3_kb)]
+        args = ["--routers", "genadapt,genadapt-reuse", "--seeds", "0-29"]
         assert main(["compare", "--scenario", scenario_path("fig1"), "--out", str(out), *args]) == 1
-        assert "--routers has none" in capsys.readouterr().err
+        message = "kb: genadapt-reuse needs a non-empty knowledge base (--kb or a kb line)"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
-
-    @pytest.mark.parametrize("routers, code", [("unit-ospf,genadapt", 1), ("unit-ospf,genadapt-reuse", 0)])
-    def test_scenario_kb_needs_a_reuse_router(self, tmp_path, capsys, mnp3_kb, routers, code):
-        path = tmp_path / "kb.scenario"
-        path.write_text(f"network mnp 3\nkb {mnp3_kb.name}\nrequest 0 1 0 90\n")
-        out = tmp_path / "cmp"
-        args = ["compare", "--scenario", str(path), "--out", str(out), "--routers", routers, "--seeds", "0-1"]
-        assert main(args) == code
-        if code:
-            err = capsys.readouterr().err
-            assert f"kb: only genadapt-reuse reads a scenario kb; --routers {routers} has none" in err
-            assert not out.exists()
 
     def test_duplicate_seeds_rejected(self, tmp_path, capsys):
         code = main(

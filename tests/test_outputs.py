@@ -51,11 +51,11 @@ def reuse_kb(workdir: str):
     result = run_scenario(load_scenario(scenario_path("mnp3_2")), seed=0)
     path = os.path.join(workdir, "mnp3.kb")
     export_kb(result.state.retained, path)
-    return import_kb(path)
+    return tuple(import_kb(path))
 
 
-def run_digests(scenario, router: str, seed: int, kb, workdir: str) -> dict[str, str]:
-    result = run_scenario(scenario, seed=seed, router=router, kb=kb if router == "genadapt-reuse" else None)
+def run_digests(scenario, router: str, seed: int, workdir: str) -> dict[str, str]:
+    result = run_scenario(scenario, seed=seed, router=router)
     trace, metrics = os.path.join(workdir, "trace.csv"), os.path.join(workdir, "metrics.csv")
     write_trace_csv(result.trace, trace)
     write_metrics_csv(result.metrics, metrics)
@@ -71,9 +71,10 @@ def run_digests(scenario, router: str, seed: int, kb, workdir: str) -> dict[str,
 
 
 def scenario_digests(name: str, kb, workdir: str) -> dict[str, dict[str, str]]:
-    scenario = load_scenario(scenario_path(name))
+    # only genadapt-reuse reads the knowledge base; the other routers start cold
+    scenario = load_scenario(scenario_path(name))._replace(kb=kb)
     return {
-        f"{name} {router} {seed}": run_digests(scenario, router, seed, kb, workdir)
+        f"{name} {router} {seed}": run_digests(scenario, router, seed, workdir)
         for router in ROUTERS
         for seed in SEEDS
     }

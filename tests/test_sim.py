@@ -46,7 +46,7 @@ def reference_run(scenario, seed, router, kb):
     metrics, the final flows and the adaptation state."""
     network = scenario.network
     gp = scenario.gp
-    adaptive = router == "genadapt"
+    adaptive = router in ("genadapt", "genadapt-reuse")
     static = inverse_bw_weights(network) if router == "inverse-bw-ospf" else unit_weights(network)
     baseline = [static[link.id] for link in network.links]
     rng = Random(seed)
@@ -149,9 +149,13 @@ _PLAN_EVERY_TICK = Scenario(
 @example(_PLAN_EVERY_TICK, "genadapt", 0, False)
 def test_run_matches_per_tick_reference(scenario, router, seed, warm):
     # a warm knowledge base holds the example formula, which weighs links by
-    # utilization, so that arrivals after a plan avoid the loaded links
-    kb = [Individual(parse_expr(EXAMPLE_FORMULA))] if warm else []
-    result = run_scenario(scenario, seed=seed, router=router, kb=kb)
+    # utilization, so that arrivals after a plan avoid the loaded links; only
+    # genadapt-reuse reads it, and the static routers start cold beside it
+    kb = (Individual(parse_expr(EXAMPLE_FORMULA)),) if warm else ()
+    if warm:
+        scenario = scenario._replace(kb=kb)
+        router = "genadapt-reuse" if router == "genadapt" else router
+    result = run_scenario(scenario, seed=seed, router=router)
     trace, metrics, flows, state = reference_run(scenario, seed, router, kb)
     assert result.trace == trace
     fields = ("congestion_occurrences", "congestion_duration", "packet_loss_proxy", "planner_invocations")
@@ -283,7 +287,8 @@ class TestRunScenario:
         assert paths[0] == paths[1]
 
     def test_preseeded_formula_single_invocation(self, fig1_scenario, example_expr):
-        result = run_scenario(fig1_scenario, kb=[Individual(example_expr)])
+        warm = fig1_scenario._replace(kb=(Individual(example_expr),))
+        result = run_scenario(warm, router="genadapt-reuse")
         m = result.metrics
         assert m.planner_invocations == 1
         assert m.congestion_duration == 1
@@ -338,7 +343,8 @@ class TestKnowledgeBaseFile:
         for seed in range(3):
             result = run_scenario(scenario, seed=seed, router="genadapt-reuse")
             assert result.metrics.planner_invocations >= 1
-            fresh = run_scenario(scenario, seed=seed, router="genadapt-reuse", kb=real(str(kb_file)))
+            reread = scenario._replace(kb=tuple(real(str(kb_file))))
+            fresh = run_scenario(reread, seed=seed, router="genadapt-reuse")
             assert self.outcome(result) == self.outcome(fresh)
         assert len(imports) == 1
         assert scenario.kb is kb  # the runs left the parsed formulas as they were read
@@ -352,16 +358,18 @@ class TestKnowledgeBaseFile:
         with pytest.raises(ScenarioError, match=message):
             load_scenario(str(path))
 
-    def test_reuse_without_a_kb_line_is_refused_at_run(self, fig1_scenario):
+    @pytest.mark.parametrize("kb", [None, ()])
+    def test_reuse_without_formulas_is_refused_at_run(self, fig1_scenario, kb):
         assert fig1_scenario.kb is None
-        with pytest.raises(ScenarioError, match="requires a knowledge-base file"):
-            run_scenario(fig1_scenario, router="genadapt-reuse")
+        with pytest.raises(ScenarioError) as excinfo:
+            run_scenario(fig1_scenario._replace(kb=kb), router="genadapt-reuse")
+        assert str(excinfo.value) == "kb: genadapt-reuse needs a non-empty knowledge base (--kb or a kb line)"
 
     def test_run_leaves_the_given_formulas_unchanged(self):
         kb = [Individual(parse_expr(EXAMPLE_FORMULA)), Individual(parse_expr("util"), 1.5)]
         before = [(ind, ind.expr, ind.fitness) for ind in kb]
         scenario = load_scenario(scenario_path("mnp5_2"))
-        result = run_scenario(scenario, seed=0, router="genadapt-reuse", kb=kb)
+        result = run_scenario(scenario._replace(kb=kb), seed=0, router="genadapt-reuse")
         assert result.metrics.planner_invocations >= 1
         assert len(kb) == len(before)
         for ind, (was, expr, fitness) in zip(kb, before):
