@@ -71,12 +71,12 @@ def cmd_run(args) -> None:
     router = args.router or scenario.router
     check_kb(scenario, (router,))
     result = run_scenario(scenario, seed=args.seed, router=router)
+    if args.kb_out:  # first, so that a refused export leaves no --out behind
+        export_kb(result.state.retained, args.kb_out)
     os.makedirs(args.out, exist_ok=True)
     write_trace_csv(result.trace, os.path.join(args.out, "trace.csv"))
     write_metrics_csv(result.metrics, os.path.join(args.out, "metrics.csv"))
     write_invocations_csv(result.state, os.path.join(args.out, "invocations.csv"))
-    if args.kb_out:
-        export_kb(result.state.retained, args.kb_out)
     m = result.metrics
     print(
         f"run complete: occurrences={m.congestion_occurrences} "
@@ -183,7 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:  # --help exits 0
+            raise
+        return EXIT_VALIDATION  # a usage error; argparse has printed it
     try:
         args.func(args)  # a command fails by raising; main alone picks the exit code
     except (ScenarioError, NetworkError, ConfigError, KbImportError, OSError) as exc:

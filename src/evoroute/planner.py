@@ -55,7 +55,6 @@ class PlanResult(NamedTuple):
     new_flows: list[Flow]
     retained: list[Individual]
     generations: int
-    best_history: list[float]
     initial: list[Expr]  # the initial population's formulas, in order
 
 
@@ -184,8 +183,7 @@ def compute_surrogate(
 
     Utilization starts from the kept flows only: ``keep`` holds their link
     inputs, and is not changed. After each placement but the last the
-    weights of the links on the new path are refreshed. A flow whose
-    destination is unreachable keeps its original path.
+    weights of the links on the new path are refreshed.
     """
     util = dict(keep.util)
     get = util.get
@@ -196,9 +194,7 @@ def compute_surrogate(
     for f in bad_flows:
         src, dst = network.path_endpoints(f.path)
         path = shortest_weighted_path(network, weights, src, dst)
-        if path is None:
-            path = f.path
-        rerouted.append(Flow(f.request, tuple(path)))
+        rerouted.append(Flow(f.request, path))
         if len(rerouted) == len(bad_flows):
             break  # nothing is routed after the last flow: its load goes unweighed
         bd = bandwidths[f.request]
@@ -328,14 +324,12 @@ def gen_plan(
     # earlier individual
     population = [assess(expr) for expr in initial]
     best = min(population, key=_FITNESS)
-    history = [best.fitness]
 
     generations = 0
     while best.fitness >= config.early_stop_fitness and generations < config.max_generations:
         population = [assess(expr) for expr in _breed(population, config, rng)]
         best = min([best, *population], key=_FITNESS)
         generations += 1
-        history.append(best.fitness)
 
     retained = sorted(population, key=_FITNESS)[: config.population_size // 2]
-    return PlanResult(best, scored[best.expr][1], retained, generations, history, initial)
+    return PlanResult(best, scored[best.expr][1], retained, generations, initial)

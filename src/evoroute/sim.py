@@ -139,8 +139,6 @@ def run_scenario(scenario: Scenario, seed: int | None = None, router: str | None
     state = AdaptationState(check_kb(scenario, (router,)) if router == "genadapt-reuse" else ())
     flows: dict[int, Flow] = {}
     trace: list[TickRow] = []
-    occurrences = congested_ticks = 0
-    in_congestion_run = False
     excess_total = 0.0
     demand_total = 0.0
 
@@ -191,14 +189,6 @@ def run_scenario(scenario: Scenario, seed: int | None = None, router: str | None
             # the re-routed flows persist through this tick
             snapshot = make_snapshot(network, list(flows.values()), bandwidths)
 
-        if congested:
-            congested_ticks += 1
-            if not in_congestion_run:
-                occurrences += 1
-            in_congestion_run = True
-        else:
-            in_congestion_run = False
-
         # loss proxy accounts the state that persists through this tick
         excess_total += snapshot.excess
         demand_total += demand
@@ -206,8 +196,12 @@ def run_scenario(scenario: Scenario, seed: int | None = None, router: str | None
         # positional: the cheapest way to build a row
         trace.append(TickRow(t, max_util, congested, len(flows), len(state.log)))
 
+    # the congestion metrics read the trace: an occurrence is a maximal run of
+    # congested ticks, so it starts on a congested tick whose previous is calm
+    flags = [row.congested for row in trace]
+    occurrences = sum(c and not p for p, c in zip([False, *flags], flags))
     metrics = MetricsRecord(
-        occurrences, congested_ticks, packet_loss_proxy(excess_total, demand_total), len(state.log)
+        occurrences, sum(flags), packet_loss_proxy(excess_total, demand_total), len(state.log)
     )
     return RunResult(metrics, trace, flows, state)
 

@@ -187,6 +187,32 @@ def test_bad_kb_file_exits_one_naming_the_flag_and_the_file(tmp_path, capsys, co
     assert not out.exists()
 
 
+# argparse's usage errors; OUT stands for an --out directory
+USAGE_ERRORS = [
+    (["run", "--out", "OUT", "--router", "bogus"], "argument --router: invalid choice: 'bogus'"),
+    (["run", "--out", "OUT", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["gen-topology", "--kind", "full", "--size", "abc", "--out", "OUT"], "argument --size: invalid int value: 'abc'"),
+    (["run"], "the following arguments are required: --out"),
+]
+
+
+@pytest.mark.parametrize("args, message", USAGE_ERRORS, ids=["router", "seed", "size", "no-out"])
+def test_usage_error_exits_one_with_argparse_message(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    if args[0] == "run":
+        args = [*args, "--scenario", scenario_path("fig1")]
+    assert main([str(out) if a == "OUT" else a for a in args]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--scenario" in capsys.readouterr().out
+
+
 class TestScenarioValidation:
     @pytest.mark.parametrize(
         "profile, message",
@@ -438,6 +464,7 @@ class TestTransfer:
         assert main(args) == 1
         assert "error: refusing to export an empty knowledge base" in capsys.readouterr().err
         assert not kb.exists()
+        assert not (tmp_path / "out").exists()
 
     def test_import_empty_warns(self, tmp_path, capsys):
         kb_file = tmp_path / "kb.txt"
