@@ -8,7 +8,7 @@ from random import Random
 from typing import NamedTuple
 
 from .expr import DEFAULT_MAX_DEPTH, depth, format_expr, parse_expr
-from .netmodel import Flow, Network, Snapshot
+from .netmodel import Flow, Network, Snapshot, read_lines
 from .planner import GpConfig, Individual, PlanResult, gen_plan
 
 
@@ -93,25 +93,21 @@ def import_kb(path: str, max_depth: int = DEFAULT_MAX_DEPTH) -> list[Individual]
     """Read a formula file; every formula is re-validated against the grammar
     and depth bound, and fitness is treated as unevaluated."""
     retained: list[Individual] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(maxsplit=1)
-            if len(parts) != 2:
-                raise KbImportError(f"line {lineno}: expected '<fitness> <formula>'")
-            try:
-                float(parts[0])
-            except ValueError:
-                raise KbImportError(f"line {lineno}: bad fitness value {parts[0]!r}") from None
-            try:
-                expr = parse_expr(parts[1])
-            except ValueError as exc:
-                raise KbImportError(f"line {lineno}: {exc}") from None
-            if depth(expr) > max_depth:
-                raise KbImportError(
-                    f"line {lineno}: formula depth {depth(expr)} exceeds bound {max_depth}"
-                )
-            retained.append(Individual(expr, None))
+    for lineno, line in read_lines(path):
+        parts = line.split(maxsplit=1)
+        if len(parts) != 2:
+            raise KbImportError(f"line {lineno}: expected '<fitness> <formula>'")
+        try:
+            float(parts[0])
+        except ValueError:
+            raise KbImportError(f"line {lineno}: bad fitness value {parts[0]!r}") from None
+        try:
+            expr = parse_expr(parts[1])
+        except ValueError as exc:
+            raise KbImportError(f"line {lineno}: {exc}") from None
+        if depth(expr) > max_depth:
+            raise KbImportError(
+                f"line {lineno}: formula depth {depth(expr)} exceeds bound {max_depth}"
+            )
+        retained.append(Individual(expr, None))
     return retained

@@ -8,7 +8,7 @@ functions. Link weights are positive integers supplied by the caller.
 import heapq
 import math
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -382,26 +382,34 @@ def save_network(network: Network, path: str) -> None:
             fh.write(f"link {link.id} {link.src} {link.dst} {link.bw:.6f} {link.dl:.6f}\n")
 
 
-def load_network(path: str) -> Network:
-    n_nodes = None
-    links: list[Link] = []
+def read_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Each line of an input file that holds more than a comment, as (line
+    number, text); in every format a comment runs from ``#`` to the line's end."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                if parts[0] == "nodes" and len(parts) == 2:
-                    n_nodes = int(parts[1])
-                elif parts[0] == "link" and len(parts) == 6:
-                    links.append(
-                        Link(int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]), float(parts[5]))
-                    )
-                else:
-                    raise NetworkError(f"unrecognized line {line!r}")
-            except ValueError as exc:  # NetworkError included
-                raise NetworkError(f"{path}:{lineno}: {exc}") from None
+            text = raw.split("#", 1)[0].strip()
+            if text:
+                yield lineno, text
+
+
+def load_network(path: str) -> Network:
+    n_nodes = nodes_line = None
+    links: list[Link] = []
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        try:
+            if parts[0] == "nodes" and len(parts) == 2:
+                if nodes_line is not None:
+                    raise NetworkError(f"nodes already set on line {nodes_line}")
+                n_nodes, nodes_line = int(parts[1]), lineno
+            elif parts[0] == "link" and len(parts) == 6:
+                links.append(
+                    Link(int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]), float(parts[5]))
+                )
+            else:
+                raise NetworkError(f"unrecognized line {line!r}")
+        except ValueError as exc:  # NetworkError included
+            raise NetworkError(f"{path}:{lineno}: {exc}") from None
     if n_nodes is None:
         raise NetworkError(f"{path}: missing 'nodes' header")
     return Network(n_nodes, links)

@@ -87,8 +87,9 @@ def find_flows_causing_congestion(
     threshold: float,
     rng: Random,
 ) -> list[Flow]:
-    """Remove flows (uniformly at random through the most loaded link) until
-    no link exceeds the threshold. Returns the removed flows in order."""
+    """Remove flows (uniformly at random among those that carry demand over
+    the most loaded link) until no link exceeds the threshold. Returns the
+    removed flows in order."""
     remaining = list(flows)
     removed: list[Flow] = []
     while True:
@@ -99,7 +100,8 @@ def find_flows_causing_congestion(
         if peak is None or peak <= threshold:
             break
         worst = min(e for e, u in util.items() if u == peak)
-        carriers = [f for f in remaining if worst in f.path]
+        # a flow at 0 Mbps (a departed request keeps its path) loads nothing
+        carriers = [f for f in remaining if worst in f.path and bandwidths[f.request] > 0]
         assert carriers, "a loaded link must carry at least one flow"
         victim = carriers[rng.randrange(len(carriers))]
         remaining.remove(victim)

@@ -17,6 +17,7 @@ from .netmodel import (
     link_utilizations,
     load_network,
     make_snapshot,
+    read_lines,
     shortest_weighted_path,
     unit_weights,
 )
@@ -292,8 +293,10 @@ def load_scenario(path: str) -> Scenario:
     Directives: ``network full N | mnp K | file PATH``, the single-value
     directives of ``SCENARIO_KEYS`` (each takes exactly one value),
     ``request SRC DST ARRIVAL BD`` and
-    ``burst SRC DST PER_BURST BURSTS SPACING BD``. Settings outside their
-    ranges are refused, naming the line that set them; so are a ``network
+    ``burst SRC DST PER_BURST BURSTS SPACING BD``; lines are read under
+    ``read_lines``. Settings outside their ranges are refused, naming the
+    line that set them; so are a second ``network`` or single-value line,
+    naming both lines, a ``network
     file`` or ``kb`` file that cannot be read or parsed (see ``with_kb``), a
     ``link_bw`` or ``link_dl`` beside a ``network file`` (the file sets
     every link's), a request whose endpoint is no node or whose destination
@@ -304,52 +307,51 @@ def load_scenario(path: str) -> Scenario:
     base = os.path.dirname(os.path.abspath(path))
     net_spec: tuple | None = None
     settings: dict[str, dict] = {"topology": {}, "scenario": {}, "gp": {}}  # owner -> field -> value
-    lines: dict[str, int] = {}  # single-value directive -> line that set it
+    lines: dict[str, int] = {}  # single-value directive or network -> line that set it
     requests: list[Request] = []
     request_lines: list[str] = []  # per request, "request: line N" or "burst: line N"
 
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            key, args = parts[0], parts[1:]
-            try:
-                if key in SCENARIO_KEYS:
-                    owner, name, conv, check, rule = SCENARIO_KEYS[key]
-                    _require(len(args) == 1, f"line {lineno}: {key} takes exactly one value, got {len(args)}")
-                    value = conv(args[0])
-                    _require(check(value), f"line {lineno}: {key} must be {rule}, got {args[0]}")
-                    settings[owner][name] = value
-                    lines[key] = lineno
-                elif key == "network":
-                    _require(len(args) == 2, f"line {lineno}: network needs kind and value")
-                    kind = args[0]
-                    _require(kind in TOPOLOGIES or kind == "file", f"line {lineno}: network kind {kind!r}")
-                    net_spec = (kind, args[1], lineno)
-                elif key == "request":
-                    _require(len(args) == 4, f"line {lineno}: request SRC DST ARRIVAL BD")
-                    s, d, arrival = int(args[0]), int(args[1]), float(args[2])
-                    requests.append(_parse_request(len(requests), s, d, arrival, args[3]))
-                    request_lines.append(f"request: line {lineno}")
-                elif key == "burst":
-                    _require(len(args) == 6, f"line {lineno}: burst SRC DST PER_BURST BURSTS SPACING BD")
-                    s, d, per_burst, bursts = map(int, args[:4])
-                    spacing = float(args[4])
-                    for field, count in (("PER_BURST", per_burst), ("BURSTS", bursts)):
-                        _require(count >= 1, f"line {lineno}: burst {field} must be at least 1, got {count}")
-                    _require(spacing > 0, f"line {lineno}: burst spacing must be positive")
-                    for b in range(bursts):
-                        for _ in range(per_burst):
-                            requests.append(_parse_request(len(requests), s, d, b * spacing, args[5]))
-                            request_lines.append(f"burst: line {lineno}")
-                else:
-                    raise ScenarioError(f"line {lineno}: unknown directive {key!r}")
-            except (ValueError, IndexError) as exc:
-                if isinstance(exc, ScenarioError):
-                    raise
-                raise ScenarioError(f"{key}: line {lineno}: {exc}") from None
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        key, args = parts[0], parts[1:]
+        try:
+            if key in lines:
+                raise ScenarioError(f"line {lineno}: {key} already set on line {lines[key]}")
+            if key in SCENARIO_KEYS:
+                owner, name, conv, check, rule = SCENARIO_KEYS[key]
+                _require(len(args) == 1, f"line {lineno}: {key} takes exactly one value, got {len(args)}")
+                value = conv(args[0])
+                _require(check(value), f"line {lineno}: {key} must be {rule}, got {args[0]}")
+                settings[owner][name] = value
+                lines[key] = lineno
+            elif key == "network":
+                _require(len(args) == 2, f"line {lineno}: network needs kind and value")
+                kind = args[0]
+                _require(kind in TOPOLOGIES or kind == "file", f"line {lineno}: network kind {kind!r}")
+                net_spec = (kind, args[1])
+                lines[key] = lineno
+            elif key == "request":
+                _require(len(args) == 4, f"line {lineno}: request SRC DST ARRIVAL BD")
+                s, d, arrival = int(args[0]), int(args[1]), float(args[2])
+                requests.append(_parse_request(len(requests), s, d, arrival, args[3]))
+                request_lines.append(f"request: line {lineno}")
+            elif key == "burst":
+                _require(len(args) == 6, f"line {lineno}: burst SRC DST PER_BURST BURSTS SPACING BD")
+                s, d, per_burst, bursts = map(int, args[:4])
+                spacing = float(args[4])
+                for field, count in (("PER_BURST", per_burst), ("BURSTS", bursts)):
+                    _require(count >= 1, f"line {lineno}: burst {field} must be at least 1, got {count}")
+                _require(spacing > 0, f"line {lineno}: burst spacing must be positive")
+                for b in range(bursts):
+                    for _ in range(per_burst):
+                        requests.append(_parse_request(len(requests), s, d, b * spacing, args[5]))
+                        request_lines.append(f"burst: line {lineno}")
+            else:
+                raise ScenarioError(f"line {lineno}: unknown directive {key!r}")
+        except (ValueError, IndexError) as exc:
+            if isinstance(exc, ScenarioError):
+                raise
+            raise ScenarioError(f"{key}: line {lineno}: {exc}") from None
 
     gp = GpConfig(**settings["gp"])
     if gp.tournament_size > gp.population_size:
@@ -360,7 +362,7 @@ def load_scenario(path: str) -> Scenario:
             f"exceeds population {gp.population_size}"
         )
     _require(net_spec is not None, "network: no network directive in scenario")
-    kind, value, lineno = net_spec
+    (kind, value), lineno = net_spec, lines["network"]
     if kind == "file" and settings["topology"]:  # the file sets every link's bw and dl
         at, key = min((lines[k], k) for k in ("link_bw", "link_dl") if k in lines)
         raise ScenarioError(

@@ -10,6 +10,8 @@ import importlib.util
 import inspect
 import os
 
+from conftest import scenario_path
+
 from evoroute import expr, loop, netmodel, planner, sim
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -57,3 +59,27 @@ def test_surrogate_formula_is_the_fifth_positional_argument():
     # LayerTrace reads the formula of each fitness evaluation as args[4]
     params = list(inspect.signature(planner.compute_surrogate).parameters)
     assert params[4] == "expr"
+
+
+def test_traced_runs_count_alike_and_agree_with_their_results():
+    # as the bench runs it: Marks, then LayerTrace over it, on the real modules,
+    # and one loaded scenario reused for every traced pass
+    probes = load_probes()
+    scenario = sim.load_scenario(scenario_path("fig1"))
+    traces, results = [], []
+    marks = probes.Marks(MODULES)
+    try:
+        for _ in range(2):
+            trace = probes.LayerTrace(MODULES)
+            try:
+                results.append(sim.run_scenario(scenario, seed=1, router="genadapt"))
+            finally:
+                trace.remove()
+            traces.append(trace)
+    finally:
+        marks.remove()
+    first, second = traces
+    assert (first.calls, first.counts) == (second.calls, second.counts)
+    plans = results[0].metrics.planner_invocations
+    assert first.calls[("sim", "adapt_step")] == plans > 0
+    assert first.counts["generations"] == first.counts["logged_generations"]

@@ -147,7 +147,9 @@ def test_only_genadapt_reuse_reads_a_knowledge_base(
     line_file = {"kb line": mnp3_kb.name, "both": "empty.kb", "empty kb line": "empty.kb"}.get(source)
     flag_file = {"--kb": mnp3_kb, "both": mnp3_kb, "empty --kb": tmp_path / "empty.kb"}.get(source)
     path = tmp_path / "kb.scenario"
-    path.write_text("network mnp 3\n" + (f"kb {line_file}\n" if line_file else "") + "request 0 1 0 90\n")
+    # one generation a plan is enough for the rule; the kb line stays line 2
+    kb_line = f"kb {line_file}\n" if line_file else ""
+    path.write_text("network mnp 3\n" + kb_line + "request 0 1 0 90\nmax_generations 1\n")
     out = tmp_path / "out"
     args = {
         "run": ["run", "--router", routers, "--seed", "0"],
@@ -395,6 +397,32 @@ class TestScenarioValidation:
         assert code == 1
         key = directive.split()[0]
         assert f"line 2: {key} takes exactly one value, got 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("network mnp 3\nthreshold 0.5\nthreshold 0.9\nnetwork full 4\n", "line 3: threshold already set on line 2"),
+            ("network mnp 3\nnetwork full 4\n", "line 2: network already set on line 1"),
+            ("network mnp 3\nseed 1\n# the same value\nseed 1\n", "line 4: seed already set on line 2"),
+            ("router unit-ospf\nnetwork mnp 3\nrouter genadapt\n", "line 3: router already set on line 1"),
+            ("network mnp 3\nrouter genadapt-reuse\nkb a.kb\nkb a.kb\n", "line 4: kb already set on line 3"),
+            ("network file two.net\n", "network: line 1: {tmp}/two.net:3: nodes already set on line 1"),
+        ],
+        ids=["threshold", "network", "seed", "router", "kb", "nodes"],
+    )
+    def test_repeated_single_value_line_exits_one_naming_both_lines(
+        self, tmp_path, capsys, monkeypatch, text, message
+    ):
+        # the last value would win unseen; request, burst and link lines repeat
+        (tmp_path / "a.kb").write_text("0.5 util\n")
+        (tmp_path / "two.net").write_text("nodes 3\nlink 0 0 1 100 25\nnodes 2\nlink 1 1 0 100 25\n")
+        path = tmp_path / "twice.scenario"
+        path.write_text(f"{text}request 0 1 0 30\nrequest 0 1 2 30\n")
+        monkeypatch.setattr(cli, "run_scenario", None)  # refused at load: any run would fail
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("router", ["unit-ospf", "genadapt-reuse"])
     @pytest.mark.parametrize("kb, message", [("nope.kb", "No such file or directory"), (".", "Is a directory")])

@@ -45,7 +45,7 @@ def dense_find_flows(network, flows, bandwidths, threshold, rng):
         if peak is None or peak <= threshold:
             return removed
         worst = util.index(peak)
-        carriers = [f for f in remaining if worst in f.path]
+        carriers = [f for f in remaining if worst in f.path and bandwidths[f.request] > 0]
         victim = carriers[rng.randrange(len(carriers))]
         remaining.remove(victim)
         removed.append(victim)

@@ -104,6 +104,12 @@ class TestKbFiles:
         with pytest.raises(KbImportError, match="depth"):
             import_kb(str(path))
 
+    def test_trailing_comments_load(self, tmp_path):
+        # a comment runs from '#' to the end of the line, as in scenario files
+        path = tmp_path / "kb.txt"
+        path.write_text("# retained\n0.5 (util + bw)  # best\n1.25 dl#second\n")
+        assert [format_expr(ind.expr) for ind in import_kb(str(path))] == ["(util + bw)", "dl"]
+
     def test_empty_file_gives_empty_kb(self, tmp_path):
         path = tmp_path / "kb.txt"
         path.write_text("")

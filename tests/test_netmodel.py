@@ -438,12 +438,19 @@ class TestSerialization:
         with pytest.raises(NetworkError, match="2"):
             load_network(str(path))
 
-    @pytest.mark.parametrize("line", ["nodes two", "link 1 0 1 100.0 nan", "link 1 0 1 100.0 x"])
+    @pytest.mark.parametrize("line", ["nodes two", "link 1 0 1 100.0 nan", "link 1 0 1 100.0 x", "nodes 3"])
     def test_bad_value_names_the_line(self, tmp_path, line):
         path = tmp_path / "bad.txt"
         path.write_text(f"nodes 2\nlink 0 1 0 100.0 25.0\n{line}\n")
         with pytest.raises(NetworkError, match="bad.txt:3: "):
             load_network(str(path))
+
+    def test_trailing_comments_load(self, tmp_path):
+        # a comment runs from '#' to the end of the line, as in scenario files
+        path = tmp_path / "net.txt"
+        path.write_text("# two nodes\nnodes 2  # header\nlink 0 0 1 100.0 25.0 # forward\nlink 1 1 0 100.0 25.0\n")
+        loaded = load_network(str(path))
+        assert (loaded.n_nodes, loaded.links) == (2, full_topology(2).links)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "nohdr.txt"

@@ -138,6 +138,14 @@ class TestFindFlows:
         flows = [Flow(0, (0,))]
         assert find_flows_causing_congestion(fig1, flows, BW3, 0.8, random.Random(0)) == []
 
+    def test_never_removes_a_flow_without_demand(self, fig1):
+        # a departed request keeps its path at 0 Mbps, and loads nothing
+        flows = [Flow(0, (0,)), Flow(1, (0,)), Flow(2, (0,)), Flow(3, (0,))]
+        bw = {0: 0.0, 1: 30.0, 2: 30.0, 3: 30.0}
+        for seed in range(50):
+            removed = find_flows_causing_congestion(fig1, flows, bw, 0.8, random.Random(seed))
+            assert len(removed) == 1 and bw[removed[0].request] > 0
+
     def test_two_half_flows(self, fig1):
         flows = [Flow(0, (0,)), Flow(1, (0,))]
         bw = {0: 50.0, 1: 50.0}
