@@ -27,19 +27,52 @@ CONST_MAX = 100.0
 
 # Trees and contexts are named tuples, not frozen dataclasses: hashing,
 # comparing and building them runs in C, and a tree's hash and equality are
-# those of the tuple of its fields, as a frozen dataclass's were.
+# those of the tuple of its fields, as a frozen dataclass's were. Every node
+# knows its size (node count) and height (a leaf has height 1), so the
+# genetic operators descend one path instead of walking the tree.
 class Const(NamedTuple):
     value: float
+    size = 1
+    height = 1
 
 
 class Var(NamedTuple):
     name: str  # one of VAR_NAMES
+    size = 1
+    height = 1
 
 
-class BinOp(NamedTuple):
+class _BinOpFields(NamedTuple):
     op: str  # one of OPS
     left: "Expr"
     right: "Expr"
+    size: int
+    height: int
+
+
+class BinOp(_BinOpFields):
+    """An operator node. Every way to build one computes ``size`` and
+    ``height`` from the children, so equality and hashing stay by value: the
+    constructor, ``_make`` and ``_replace`` (which calls ``_make``), and
+    copying and pickling (which call the constructor with ``__getnewargs__``).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, op: str, left: "Expr", right: "Expr") -> "BinOp":
+        hl, hr = left.height, right.height
+        return tuple.__new__(
+            cls, (op, left, right, 1 + left.size + right.size, 1 + (hl if hl > hr else hr))
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> "BinOp":
+        # the counts an iterable may carry are recomputed, not trusted
+        op, left, right, *_ = iterable
+        return cls(op, left, right)
+
+    def __getnewargs__(self) -> tuple:
+        return self[:3]
 
 
 # A PEP 604 union, not typing.Union: typing caches its unions, and through
@@ -67,23 +100,30 @@ class ParseError(ValueError):
 
 
 def eval_expr(expr: Expr, ctx: EvalContext) -> float:
-    """Recursive arithmetic evaluation; always finite."""
-    if isinstance(expr, Const):
+    """Recursive arithmetic evaluation; always finite.
+
+    A leaf child is read in place rather than through a call."""
+    kind = type(expr)
+    if kind is Const:
         return expr.value
-    if isinstance(expr, Var):
+    if kind is Var:
         return getattr(ctx, expr.name)
-    left = eval_expr(expr.left, ctx)
-    right = eval_expr(expr.right, ctx)
-    if expr.op == "+":
+    left, right = expr.left, expr.right
+    kind = type(left)
+    left = left.value if kind is Const else getattr(ctx, left.name) if kind is Var else eval_expr(left, ctx)
+    kind = type(right)
+    right = right.value if kind is Const else getattr(ctx, right.name) if kind is Var else eval_expr(right, ctx)
+    op = expr.op
+    if op == "+":
         v = left + right
-    elif expr.op == "-":
+    elif op == "-":
         v = left - right
-    elif expr.op == "*":
+    elif op == "*":
         v = left * right
-    elif expr.op == "/":
+    elif op == "/":
         v = 1.0 if abs(right) < DIV_EPS else left / right
     else:
-        raise ExprError(f"unknown operator {expr.op!r}")
+        raise ExprError(f"unknown operator {op!r}")
     if v > VALUE_CAP:
         return VALUE_CAP
     if v < -VALUE_CAP:
@@ -102,81 +142,43 @@ def to_weight(v: float) -> int:
     return max(1, math.floor(abs(v) + DIV_EPS))
 
 
-Walk = list[tuple[Expr, int, int, int]]
-_walks: dict[int, tuple[Expr, Walk]] = {}  # tree id -> (tree, walk), for recent trees
-
-
-def preorder(expr: Expr) -> Walk:
-    """One walk over the tree: its nodes in preorder, each as (subtree,
-    level, size, height). The root is level 1 and a leaf has height 1.
-
-    Selection draws the same parents again and again, so recent walks are
-    kept and shared (do not change the list). An entry holds its tree, so
-    no other tree can take its id."""
-    if id(expr) in _walks:
-        return _walks[id(expr)][1]
-    walk: Walk = [(expr, 1, 1, 1)]
-
-    def visit(i: int, node: BinOp, level: int) -> int:
-        # appends the children of the BinOp at walk[i] (a leaf needs no call)
-        below = level + 1
-        left, right = node.left, node.right
-        walk.append((left, below, 1, 1))
-        hl = visit(len(walk) - 1, left, below) if type(left) is BinOp else 1
-        walk.append((right, below, 1, 1))
-        hr = visit(len(walk) - 1, right, below) if type(right) is BinOp else 1
-        height = 1 + (hl if hl > hr else hr)
-        walk[i] = (node, level, len(walk) - i, height)
-        return height
-
-    if type(expr) is BinOp:
-        visit(0, expr, 1)
-    if len(_walks) >= 32:
-        _walks.clear()
-    _walks[id(expr)] = (expr, walk)
-    return walk
-
-
 def depth(expr: Expr) -> int:
-    return preorder(expr)[0][3]
+    return expr.height
 
 
 def size(expr: Expr) -> int:
-    if isinstance(expr, BinOp):
-        return 1 + size(expr.left) + size(expr.right)
-    return 1
+    return expr.size
 
 
-def replace_subtree(
-    expr: Expr, index: int, replacement: Expr, height: int = 1, max_depth: float = math.inf
-) -> Expr | None:
-    """The tree with the preorder node at `index` swapped for `replacement`
-    (of the given height), or None when it would be deeper than max_depth.
+def subtree(expr: Expr, index: int) -> tuple[Expr, int]:
+    """The preorder node at `index` and its level (the root is level 1).
 
-    That depth is known before anything is built: a subtree at level l of
-    height h reaches depth l + h - 1, and only the replacement and the
-    off-path sibling of each node on the path can be deepest. Only the nodes
-    on the path are rebuilt; every other subtree is shared."""
-    walk = preorder(expr)
-    if not (0 <= index < len(walk)):
+    In preorder a node is followed by its left subtree's `size` nodes, then
+    its right subtree's, so one path down the child sizes finds it."""
+    if not (0 <= index < expr.size):
         raise ExprError(f"node index {index} out of range")
-    deepest = walk[index][1] + height
-    path: list[tuple[BinOp, bool]] = []  # (ancestor, whether the path goes left)
-    i = 0
-    while i != index:
-        left = i + 1
-        right = left + walk[left][2]
-        went_left = index < right
-        path.append((walk[i][0], went_left))
-        _, level, _, sibling_height = walk[right if went_left else left]
-        deepest = max(deepest, level + sibling_height)
-        i = left if went_left else right
-    if deepest - 1 > max_depth:
-        return None
-    for node, went_left in reversed(path):
-        children = (replacement, node.right) if went_left else (node.left, replacement)
-        replacement = BinOp(node.op, *children)
-    return replacement
+    level = 1
+    while index:
+        left = expr.left
+        if index <= left.size:
+            expr, index = left, index - 1
+        else:
+            expr, index = expr.right, index - 1 - left.size
+        level += 1
+    return expr, level
+
+
+def replace_subtree(expr: Expr, index: int, replacement: Expr) -> Expr:
+    """The tree with the preorder node at `index` swapped for `replacement`.
+    Only the nodes on the path to it are rebuilt; every other subtree is shared."""
+    if not (0 <= index < expr.size):
+        raise ExprError(f"node index {index} out of range")
+    if index == 0:
+        return replacement
+    left = expr.left
+    if index <= left.size:
+        return BinOp(expr.op, replace_subtree(left, index - 1, replacement), expr.right)
+    return BinOp(expr.op, left, replace_subtree(expr.right, index - 1 - left.size, replacement))
 
 
 def grow_random(max_depth: int, rng: Random) -> Expr:
@@ -206,15 +208,16 @@ def crossover(
     A child whose depth would exceed max_depth is replaced by a copy of its
     parent (retry-free repair).
     """
-    walk_a = preorder(a)
-    walk_b = preorder(b)
-    ia = rng.randrange(len(walk_a))
-    ib = rng.randrange(len(walk_b))
-    donor_a, _, _, height_a = walk_a[ia]
-    donor_b, _, _, height_b = walk_b[ib]
-    child_a = replace_subtree(a, ia, donor_b, height_b, max_depth)
-    child_b = replace_subtree(b, ib, donor_a, height_a, max_depth)
-    return a if child_a is None else child_a, b if child_b is None else child_b
+    ia = rng.randrange(a.size)
+    ib = rng.randrange(b.size)
+    donor_a, _ = subtree(a, ia)
+    donor_b, _ = subtree(b, ib)
+    child_a = replace_subtree(a, ia, donor_b)
+    child_b = replace_subtree(b, ib, donor_a)
+    return (
+        a if child_a.height > max_depth else child_a,
+        b if child_b.height > max_depth else child_b,
+    )
 
 
 def mutate(expr: Expr, rng: Random, max_depth: int = DEFAULT_MAX_DEPTH) -> Expr:
@@ -223,10 +226,9 @@ def mutate(expr: Expr, rng: Random, max_depth: int = DEFAULT_MAX_DEPTH) -> Expr:
     The replacement is grown with a depth budget that keeps the whole tree
     within max_depth.
     """
-    walk = preorder(expr)
-    i = rng.randrange(len(walk))
-    budget = max(1, max_depth - walk[i][1] + 1)
-    return replace_subtree(expr, i, grow_random(budget, rng))
+    i = rng.randrange(expr.size)
+    _, level = subtree(expr, i)
+    return replace_subtree(expr, i, grow_random(max(1, max_depth - level + 1), rng))
 
 
 def format_expr(expr: Expr) -> str:

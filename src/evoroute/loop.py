@@ -7,7 +7,7 @@ from collections.abc import Mapping, Sequence
 from random import Random
 from typing import NamedTuple
 
-from .expr import DEFAULT_MAX_DEPTH, depth, format_expr, parse_expr
+from .expr import DEFAULT_MAX_DEPTH, format_expr, parse_expr
 from .netmodel import Flow, Network, Snapshot, read_lines
 from .planner import GpConfig, Individual, PlanResult, gen_plan
 
@@ -105,9 +105,9 @@ def import_kb(path: str, max_depth: int = DEFAULT_MAX_DEPTH) -> list[Individual]
             expr = parse_expr(parts[1])
         except ValueError as exc:
             raise KbImportError(f"line {lineno}: {exc}") from None
-        if depth(expr) > max_depth:
+        if expr.height > max_depth:
             raise KbImportError(
-                f"line {lineno}: formula depth {depth(expr)} exceeds bound {max_depth}"
+                f"line {lineno}: formula depth {expr.height} exceeds bound {max_depth}"
             )
         retained.append(Individual(expr, None))
     return retained

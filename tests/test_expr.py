@@ -1,6 +1,8 @@
+import copy
 import gc
 import importlib
 import math
+import pickle
 import random
 import sys
 import weakref
@@ -25,9 +27,9 @@ from evoroute.expr import (
     grow_random,
     mutate,
     parse_expr,
-    preorder,
     replace_subtree,
     size,
+    subtree,
     to_weight,
 )
 
@@ -165,8 +167,12 @@ def reference_replace_subtree(expr, index, replacement):
 _LEAVES = st.one_of(
     st.floats(min_value=0.0, max_value=1e6).map(Const), st.sampled_from(VAR_NAMES).map(Var)
 )
+# BinOp's constructor takes (op, left, right) and computes the counts; given
+# the class itself, st.builds would also ask for size and height.
 TREES = st.recursive(
-    _LEAVES, lambda kids: st.builds(BinOp, st.sampled_from(OPS), kids, kids), max_leaves=24
+    _LEAVES,
+    lambda kids: st.builds(lambda op, left, right: BinOp(op, left, right), st.sampled_from(OPS), kids, kids),
+    max_leaves=24,
 )
 
 
@@ -207,31 +213,60 @@ GP_TREES = st.one_of(TREES, st.tuples(st.integers(1, 15), st.integers(0, 10**9))
 ))
 
 
-class TestPreorder:
-    @given(TREES)
-    def test_one_walk_matches_per_node_measures(self, expr):
-        walk = preorder(expr)
-        pairs = reference_nodes_with_levels(expr)
-        assert len(walk) == len(pairs)
-        for (node, level, n, height), (ref_node, ref_level) in zip(walk, pairs):
-            assert node is ref_node and level == ref_level
-            assert (n, height) == (reference_size(node), reference_depth(node))
-        assert (size(expr), depth(expr)) == (reference_size(expr), reference_depth(expr))
+def assert_counts(expr):
+    """Every node's size and height fields equal the recursive measures."""
+    for node, _ in reference_nodes_with_levels(expr):
+        assert (node.size, node.height) == (reference_size(node), reference_depth(node))
+    assert (size(expr), depth(expr)) == (reference_size(expr), reference_depth(expr))
 
-    def test_recent_walks_are_each_trees_own(self):
-        # equal trees built apart, and trees dropped so that ids come free:
-        # a walk served from the recent ones must list this tree's own nodes
-        for seed in list(range(100)) * 2:
-            expr = grow_random(6, random.Random(seed))
-            refs = [node for node, _ in reference_nodes_with_levels(expr)]
-            for _ in range(2):
-                assert all(node is ref for (node, *_), ref in zip(preorder(expr), refs))
-        assert preorder(expr) is preorder(expr)
+
+class TestCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(GP_TREES, GP_TREES, st.integers(0, 10**9), st.integers(1, 15))
+    def test_every_tree_counts_its_size_and_height(self, a, b, seed, max_depth):
+        assert_counts(a)
+        assert_counts(b)
+        rng = random.Random(seed)
+        for child in crossover(a, b, rng, max_depth):
+            assert_counts(child)
+        assert_counts(mutate(a, rng, max_depth))
+        assert_counts(parse_expr(format_expr(a)))
+
+    @given(TREES)
+    def test_subtree_is_the_preorder_node_and_level(self, expr):
+        for index, (node, level) in enumerate(reference_nodes_with_levels(expr)):
+            got, got_level = subtree(expr, index)
+            assert got is node and got_level == level
+        for index in (-1, size(expr)):
+            with pytest.raises(ExprError, match="out of range"):
+                subtree(expr, index)
+
+
+class TestBuildBinOp:
+    """Every way to build an operator node computes its counts."""
+
+    TREE = BinOp("+", Const(1.5), BinOp("*", Var("util"), Var("bw")))
+
+    @pytest.mark.parametrize("build", [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
+    def test_copies_and_pickles_equal_the_tree(self, build):
+        got = build(self.TREE)
+        assert got == self.TREE and type(got) is BinOp
+        assert_counts(got)
+
+    def test_replace_recomputes_the_counts(self):
+        got = self.TREE._replace(left=self.TREE)
+        assert (got.size, got.height) == (9, 4)
+        assert_counts(got)
+        assert_counts(self.TREE._replace(right=Var("dl")))
+
+    def test_make_recomputes_the_counts(self):
+        assert BinOp._make(["-", Var("dl"), self.TREE]) == BinOp("-", Var("dl"), self.TREE)
+        assert BinOp._make(["-", Var("dl"), Var("bw"), 99, 99]) == BinOp("-", Var("dl"), Var("bw"))
 
 
 class TestOperatorsMatchReference:
-    """The operators pick, check and rebuild from one walk of each parent;
-    the reference builds each child and then measures it."""
+    """The operators pick and rebuild along one path of each parent and read
+    each child's height; the reference walks every node and measures."""
 
     @settings(max_examples=300, deadline=None)
     @given(GP_TREES, GP_TREES, st.booleans(), st.integers(0, 10**9), st.integers(1, 15))
@@ -267,11 +302,11 @@ class TestReplaceSubtree:
     @settings(max_examples=200, deadline=None)
     @given(TREES, TREES)
     def test_matches_full_rebuild_and_shares_untouched_subtrees(self, expr, replacement):
-        before = [node for node, *_ in preorder(expr)]
+        before = [node for node, _ in reference_nodes_with_levels(expr)]
         for index, old in enumerate(before):
             got = replace_subtree(expr, index, replacement)
             assert got == reference_replace_subtree(expr, index, replacement)
-            after = [node for node, *_ in preorder(got)]
+            after = [node for node, _ in reference_nodes_with_levels(got)]
             shift = size(replacement) - size(old)
             assert after[index] is replacement
             for j, node in enumerate(before):
@@ -288,7 +323,7 @@ class TestReplaceSubtree:
 
     def test_hash_and_equality_are_the_fields_tuple(self):
         tree = BinOp("+", Const(1.5), Var("util"))
-        assert hash(tree) == hash(("+", (1.5,), ("util",)))
+        assert hash(tree) == hash(("+", (1.5,), ("util",), 3, 2))
         assert tree == BinOp("+", Const(1.5), Var("util"))
         assert tree != BinOp("-", Const(1.5), Var("util"))
         assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
