@@ -329,10 +329,20 @@ def shortest_weighted_path(
     return tuple(path)
 
 
+# the most links a generated topology may have, checked before any is built
+MAX_LINKS = 100_000
+
+
+def _check_links(kind: str, size: int, n_links: int) -> None:
+    if n_links > MAX_LINKS:
+        raise ConfigError(f"{kind} {size} would have {n_links} links, more than {MAX_LINKS}")
+
+
 def full_topology(n: int, bw: float = 100.0, dl: float = 25.0) -> Network:
     """Directed complete graph on n nodes: one link per ordered pair, n(n-1) links."""
     if n < 2:
         raise ConfigError(f"full topology needs at least 2 nodes, got {n}")
+    _check_links("full", n, n * (n - 1))
     links = []
     for src in range(n):
         for dst in range(n):
@@ -349,6 +359,7 @@ def mnp_topology(k: int, bw: float = 100.0, dl: float = 25.0) -> Network:
     """
     if k < 2:
         raise ConfigError(f"mnp topology needs at least 2 paths, got {k}")
+    _check_links("mnp", k, k * (k + 1))  # paths of 1..k edges, two links each
     links: list[Link] = []
     next_node = 2
 

@@ -115,18 +115,13 @@ Weigher = Callable[[float, float, float], int]
 def formula_weigher(expr: Expr, threshold: float) -> Weigher:
     """The weight the formula gives a link of static (bw, dl) at a utilization.
 
-    Evaluation is pure, so results are memoised on the exact (bw, dl, util)
-    input and each distinct input is evaluated once, for as long as the
-    weigher lives.
+    Keeps no state: each call evaluates the formula. ``link_weights`` weighs
+    each distinct input of its table once; a caller that weighs the same
+    inputs again may memoise the weigher, as the simulator does.
     """
-    memo: dict[tuple[float, float, float], int] = {}
 
     def weigh(bw: float, dl: float, util: float) -> int:
-        key = (bw, dl, util)
-        w = memo.get(key)
-        if w is None:
-            w = memo[key] = to_weight(eval_expr(expr, EvalContext(bw, dl, util, threshold)))
-        return w
+        return to_weight(eval_expr(expr, EvalContext(bw, dl, util, threshold)))
 
     return weigh
 

@@ -4,6 +4,7 @@ formula, per-tick monitoring and adaptation, and outcome metrics."""
 import math
 import os
 from collections.abc import Collection, Sequence
+from functools import cache
 from random import Random
 from typing import NamedTuple
 
@@ -134,7 +135,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None, router: str | None
 
     adaptive = router in ADAPTIVE_ROUTERS
     baseline = inverse_bw_weights(network) if router == "inverse-bw-ospf" else unit_weights(network)
-    weigh = None  # the active formula's weigher, kept until the next install
+    weigh = None  # the installed formula's memoised weigher; None routes under the baseline
 
     rng = Random(seed)
     state = AdaptationState(check_kb(scenario, (router,)) if router == "genadapt-reuse" else ())
@@ -170,12 +171,11 @@ def run_scenario(scenario: Scenario, seed: int | None = None, router: str | None
 
         # admit arrivals, routing each under the weights of the moment
         for req in arrived:
-            if state.active_expr is not None:
-                util = snapshot.util if snapshot else link_utilizations(network, list(flows.values()), bandwidths)
-                weigh = weigh or formula_weigher(state.active_expr, gp.threshold)
-                weights = link_weights(link_inputs(network, util), weigh)
-            else:
+            if weigh is None:
                 weights = baseline
+            else:
+                util = snapshot.util if snapshot else link_utilizations(network, list(flows.values()), bandwidths)
+                weights = link_weights(link_inputs(network, util), weigh)
             flows[req.id] = route_request(network, weights, req)
             snapshot = None
 
@@ -186,7 +186,8 @@ def run_scenario(scenario: Scenario, seed: int | None = None, router: str | None
 
         if congested and adaptive:
             flows = {f.request: f for f in adapt_step(network, snapshot, t, bandwidths, state, gp, rng)}
-            weigh = None
+            # arrivals meet the same inputs again until the next install
+            weigh = cache(formula_weigher(state.active_expr, gp.threshold))
             # the re-routed flows persist through this tick
             snapshot = make_snapshot(network, list(flows.values()), bandwidths)
 
@@ -264,6 +265,20 @@ def _finite_positive(value: float) -> bool:
     return 0 < value < math.inf  # written so that NaN fails too
 
 
+# the most ticks a run may last and the most requests a scenario may hold,
+# bursts expanded; a line that would ask for more is refused before anything
+# is built for it (generated topologies: ``netmodel.MAX_LINKS``)
+MAX_TICKS = 100_000
+MAX_REQUESTS = 100_000
+
+
+def _check_request_count(lineno: int, key: str, total: int) -> None:
+    _require(
+        total <= MAX_REQUESTS,
+        f"line {lineno}: {key} would make {total} requests, more than the {MAX_REQUESTS} a scenario may hold",
+    )
+
+
 # single-value directive -> (what it configures, field, conversion, check,
 # what the check requires); the tournament size is also checked against the
 # population, and the duration against the last arrival, once all are read
@@ -271,7 +286,7 @@ SCENARIO_KEYS = {
     "link_bw": ("topology", "bw", float, _finite_positive, "finite and > 0"),
     "link_dl": ("topology", "dl", float, _finite_positive, "finite and > 0"),
     "threshold": ("gp", "threshold", float, lambda v: 0 < v < 1, "in (0,1)"),
-    "duration": ("scenario", "duration", int, lambda v: True, "an integer"),
+    "duration": ("scenario", "duration", int, lambda v: v <= MAX_TICKS, f"at most {MAX_TICKS}"),
     "router": ("scenario", "router", str, ROUTERS.__contains__, f"one of {', '.join(ROUTERS)}"),
     "seed": ("scenario", "seed", int, lambda v: True, "an integer"),
     "kb": ("scenario", "kb", str, lambda v: True, "a path"),
@@ -302,7 +317,10 @@ def load_scenario(path: str) -> Scenario:
     every link's), a request whose endpoint is no node or whose destination
     no directed path reaches from its source, and a ``duration`` that does
     not exceed the last arrival's tick (``ceil(arrival)``), so that no tick
-    would admit that request.
+    would admit that request. So are sizes past the bounds: a run longer
+    than ``MAX_TICKS`` (naming the ``duration`` line, or without one the
+    request with the last arrival), more than ``MAX_REQUESTS`` requests, and
+    a generated network of more than ``netmodel.MAX_LINKS`` links.
     """
     base = os.path.dirname(os.path.abspath(path))
     net_spec: tuple | None = None
@@ -332,6 +350,7 @@ def load_scenario(path: str) -> Scenario:
                 lines[key] = lineno
             elif key == "request":
                 _require(len(args) == 4, f"line {lineno}: request SRC DST ARRIVAL BD")
+                _check_request_count(lineno, key, len(requests) + 1)
                 s, d, arrival = int(args[0]), int(args[1]), float(args[2])
                 requests.append(_parse_request(len(requests), s, d, arrival, args[3]))
                 request_lines.append(f"request: line {lineno}")
@@ -342,6 +361,7 @@ def load_scenario(path: str) -> Scenario:
                 for field, count in (("PER_BURST", per_burst), ("BURSTS", bursts)):
                     _require(count >= 1, f"line {lineno}: burst {field} must be at least 1, got {count}")
                 _require(spacing > 0, f"line {lineno}: burst spacing must be positive")
+                _check_request_count(lineno, key, len(requests) + per_burst * bursts)
                 for b in range(bursts):
                     for _ in range(per_burst):
                         requests.append(_parse_request(len(requests), s, d, b * spacing, args[5]))
@@ -395,6 +415,10 @@ def load_scenario(path: str) -> Scenario:
             f"duration: line {lines['duration']}: must exceed the last arrival's tick {last}, "
             f"got {scenario.duration}"
         )
+    ticks = scenario.resolved_duration()
+    if ticks > MAX_TICKS:  # only without a duration line, whose value is checked when read
+        r, where = max(zip(requests, request_lines), key=lambda pair: pair[0].arrival)
+        raise ScenarioError(f"{where}: arrival {r.arrival:g} would run {ticks} ticks, more than {MAX_TICKS}")
     return scenario
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import scenario_path
 
-from evoroute import cli, sim
+from evoroute import cli, netmodel, sim
 from evoroute.cli import main
 
 METRICS = ("congestion_occurrences", "congestion_duration_s", "packet_loss_proxy", "planner_invocations")
@@ -455,6 +455,75 @@ class TestScenarioValidation:
         out = tmp_path / "out"
         assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
         assert int(read_csv(out / "metrics.csv")[0]["planner_invocations"]) >= 1
+
+
+class TestSizeBounds:
+    """A line that asks for more ticks, requests or generated links than the
+    bounds allow is refused, naming it, before anything is built for it. The
+    huge values would otherwise loop or allocate without end; the others are
+    one past a bound."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("network mnp 3\nduration 1000000000\nrequest 0 1 0 30\n",
+             "line 2: duration must be at most 100000, got 1000000000"),
+            ("network mnp 3\nduration 100001\nrequest 0 1 0 30\n", "line 2: duration must be at most 100000, got 100001"),
+            ("network mnp 3\nrequest 0 1 0 30\nrequest 0 1 100000000 30\n",
+             "request: line 3: arrival 1e+08 would run 100000010 ticks, more than 100000"),
+            ("network mnp 3\nrequest 0 1 99990.5 30\nrequest 0 1 7 30\n",
+             "request: line 2: arrival 99990.5 would run 100001 ticks, more than 100000"),
+            ("network full 100000\nrequest 0 1 0 30\n",
+             "network: line 1: full 100000 would have 9999900000 links, more than 100000"),
+            ("network full 317\nrequest 0 1 0 30\n", "network: line 1: full 317 would have 100172 links, more than 100000"),
+            ("network mnp 100000\nrequest 0 1 0 30\n",
+             "network: line 1: mnp 100000 would have 10000100000 links, more than 100000"),
+            ("network mnp 316\nrequest 0 1 0 30\n", "network: line 1: mnp 316 would have 100172 links, more than 100000"),
+            ("network mnp 3\nrequest 0 1 0 30\nburst 0 1 100000 100000 1 30\n",
+             "line 3: burst would make 10000000001 requests, more than the 100000 a scenario may hold"),
+            ("network mnp 3\nrequest 0 1 0 30\nburst 0 1 50000 2 1 30\n",
+             "line 3: burst would make 100001 requests, more than the 100000 a scenario may hold"),
+            ("network mnp 3\nburst 0 1 50000 2 1 30\nrequest 0 1 0 30\n",
+             "line 3: request would make 100001 requests, more than the 100000 a scenario may hold"),
+        ],
+        ids=["duration", "duration-past", "arrival", "arrival-past", "full", "full-past", "mnp", "mnp-past",
+             "burst", "burst-past", "request-past"],
+    )
+    def test_scenario_past_a_bound_exits_one_naming_the_line(self, tmp_path, capsys, monkeypatch, text, message):
+        path = tmp_path / "huge.scenario"
+        path.write_text(text)
+        monkeypatch.setattr(cli, "run_scenario", None)  # refused at load: any run would fail
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, links", [("full", 9999900000), ("mnp", 10000100000)])
+    def test_gen_topology_past_the_link_bound_exits_one(self, tmp_path, capsys, kind, links):
+        out = tmp_path / "net.txt"
+        assert main(["gen-topology", "--kind", kind, "--size", "100000", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {kind} 100000 would have {links} links, more than 100000\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, ticks, requests, links",
+        [
+            ("network mnp 3\nduration 100000\nrequest 0 1 99999 30\n", 100000, 1, 12),
+            ("network mnp 3\nrequest 0 1 0 30\nrequest 0 1 99990 30\n", 100000, 2, 12),
+            ("network full 316\nrequest 0 1 0 30\n", 10, 1, 99540),  # the largest complete graph
+            ("network mnp 315\nrequest 0 1 0 30\n", 10, 1, 99540),
+            ("network mnp 3\nrequest 0 1 0 30\nburst 0 1 99999 1 1 30\n", 10, 100000, 12),
+        ],
+        ids=["duration", "arrival", "full", "mnp", "burst"],
+    )
+    def test_scenario_at_the_bounds_loads(self, tmp_path, text, ticks, requests, links):
+        assert (sim.MAX_TICKS, sim.MAX_REQUESTS, netmodel.MAX_LINKS) == (100000, 100000, 100000)
+        path = tmp_path / "edge.scenario"
+        path.write_text(text)
+        scenario = sim.load_scenario(str(path))
+        assert (scenario.resolved_duration(), len(scenario.requests), len(scenario.network.links)) == (
+            ticks, requests, links
+        )
 
 
 class TestTransfer:

@@ -302,6 +302,28 @@ class TestRunScenario:
             5: (6, 8, 10),
         }
 
+    def test_each_install_memoises_its_own_weigher(self, fig1_scenario, monkeypatch):
+        # the planner's weigher keeps no state; the run memoises it once per
+        # install, so the weigher behind that memo never sees an input twice
+        real = sim.formula_weigher
+        weighers = []  # per weigher built, the inputs it was asked to weigh
+
+        def recording(expr, threshold):
+            weigh, seen = real(expr, threshold), []
+            weighers.append(seen)
+
+            def wrapped(bw, dl, util):
+                seen.append((bw, dl, util))
+                return weigh(bw, dl, util)
+
+            return wrapped
+
+        monkeypatch.setattr(sim, "formula_weigher", recording)
+        result = run_scenario(fig1_scenario, seed=1, router="genadapt")
+        assert len(weighers) == result.metrics.planner_invocations > 1
+        assert any(weighers)  # some arrival is weighed
+        assert all(len(seen) == len(set(seen)) for seen in weighers)
+
     def test_unknown_router_rejected(self, fig1_scenario):
         with pytest.raises(ScenarioError, match="router"):
             run_scenario(fig1_scenario, router="rip")
