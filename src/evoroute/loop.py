@@ -8,7 +8,7 @@ from random import Random
 from typing import NamedTuple
 
 from .expr import DEFAULT_MAX_DEPTH, format_expr, parse_expr
-from .netmodel import Flow, Network, Snapshot, read_lines
+from .netmodel import Network, Snapshot, read_lines
 from .planner import GpConfig, Individual, PlanResult, gen_plan
 
 
@@ -26,12 +26,11 @@ class InvocationRecord(NamedTuple):
 
 
 class AdaptationState:
-    """What the loop has installed so far and how it got there."""
+    """One record per plan so far, the last naming the installed formula, and the knowledge base."""
 
-    __slots__ = ("active_expr", "log", "retained")
+    __slots__ = ("log", "retained")
 
     def __init__(self, retained: Sequence[Individual] = ()):
-        self.active_expr = None  # Expr or None (None = baseline unit weights)
         self.log: list[InvocationRecord] = []
         # the knowledge base: the best formulas of the last planning round,
         # ascending by fitness, that seed the next round
@@ -51,20 +50,20 @@ def adapt_step(
     state: AdaptationState,
     config: GpConfig,
     rng: Random,
-) -> list[Flow]:
-    """One congested tick of the loop: plan and install a new formula.
+) -> PlanResult:
+    """One congested tick of the loop: plan a new formula and log it.
 
     The caller has found the snapshot congested (``detect``) on ``tick``,
-    which may be later than the tick that built it. Returns the re-routed
-    flow set to apply atomically. The retained formulas are replaced with
-    the top half of the planner's final population.
+    which may be later than the tick that built it. Returns the plan, whose
+    ``new_flows`` the caller applies atomically and whose ``best.expr`` it
+    installs. The retained formulas are replaced with the top half of the
+    planner's final population.
     """
     start = time.perf_counter()
-    result: PlanResult = gen_plan(
+    result = gen_plan(
         network, list(snapshot.flows), bandwidths, state.retained, config, rng
     )
     wall_ms = (time.perf_counter() - start) * 1000.0
-    state.active_expr = result.best.expr
     state.log.append(
         InvocationRecord(
             tick=tick,
@@ -76,7 +75,7 @@ def adapt_step(
         )
     )
     state.retained = result.retained
-    return result.new_flows
+    return result
 
 
 def export_kb(retained: Sequence[Individual], path: str) -> None:

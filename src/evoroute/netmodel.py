@@ -66,8 +66,9 @@ class Request(_RequestFields):
     """A data-transmission demand from node s to node d.
 
     The bandwidth profile is piecewise constant: ``profile`` holds
-    (start_time, mbps) segments sorted by start time. Bundled scenarios use
-    a single constant segment. Checked as ``Link`` is, however built.
+    (start_time, mbps) segments with finite starts, sorted by start time.
+    Bundled scenarios use a single constant segment. Checked as ``Link``
+    is, however built.
     """
 
     __slots__ = ()
@@ -85,6 +86,8 @@ class Request(_RequestFields):
         if not all(0 <= bd < math.inf for _, bd in profile):
             raise NetworkError(f"request {id}: bandwidth must be finite and >= 0")
         starts = [start for start, _ in profile]
+        if not all(math.isfinite(start) for start in starts):
+            raise NetworkError(f"request {id}: profile start times must be finite")
         if not all(a < b for a, b in zip(starts, starts[1:])):
             raise NetworkError(f"request {id}: profile start times must be strictly increasing")
         return tuple.__new__(cls, (id, s, d, arrival, profile))
@@ -98,8 +101,9 @@ class Request(_RequestFields):
         return cls(id, s, d, arrival, ((0.0, float(bd)),))
 
     def bd(self, t: float) -> float:
-        """Bandwidth demand at time t (value of the last segment starting <= t)."""
-        value = self.profile[0][1]
+        """Bandwidth demand at time t: the value of the last segment that
+        started at or before t, and 0.0 before the first segment starts."""
+        value = 0.0
         for start, bd in self.profile:
             if start <= t:
                 value = bd

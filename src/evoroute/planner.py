@@ -169,14 +169,14 @@ def link_weights(table: LinkInputs, weigh: Weigher) -> list[int]:
 
 def compute_surrogate(
     network: Network,
-    keep_flows: Sequence[Flow],
     bad_flows: Sequence[Flow],
     bandwidths: Mapping[int, float],
+    keep: LinkInputs,
     expr: Expr,
     threshold: float,
-    keep: LinkInputs,
 ) -> list[Flow]:
-    """Re-route the bad flows one by one under the candidate formula.
+    """Re-route the bad flows one by one under the candidate formula;
+    returns the re-routed flows, in ``bad_flows`` order.
 
     Utilization starts from the kept flows only: ``keep`` holds their link
     inputs, and is not changed. After each placement but the last the
@@ -199,7 +199,7 @@ def compute_surrogate(
             bw = bws[e]
             u = util[e] = get(e, 0.0) + bd / bw
             weights[e] = weigh(bw, dls[e], u)
-    return rerouted + list(keep_flows)
+    return rerouted
 
 
 def evaluate_plan(
@@ -288,7 +288,7 @@ def gen_plan(
     initial = [ind.expr for ind in best_sol[: config.population_size // 2]]
     initial += [grow_random(config.max_depth, rng) for _ in range(config.population_size - len(initial))]
 
-    # (fitness, surrogate flows) per formula already scored in this call;
+    # (fitness, re-routed flows) per formula already scored in this call;
     # scoring draws no random numbers, so skipping a repeat leaves the RNG
     # stream as it was. Trees compare by value, so the key is exact up to
     # the sign of a zero constant (Const(0.0) == Const(-0.0)), which cannot
@@ -296,25 +296,25 @@ def gen_plan(
     # division by a zero of either sign is protected, and to_weight takes
     # the absolute value.
     scored: dict[Expr, tuple[float, list[Flow]]] = {}
-    # Fitness per plan: the surrogate flows are the re-routed bad flows, in
-    # bad_flows order, followed by the kept flows, and everything else
-    # evaluate_plan reads is fixed for the call, so the re-routed paths
-    # alone decide the fitness. Distinct formulas often make the same plan.
+    # Fitness per plan: the re-routed flows come in bad_flows order, and
+    # everything else evaluate_plan reads (the kept flows among it) is
+    # fixed for the call, so their paths alone decide the fitness.
+    # Distinct formulas often make the same plan.
     plans: dict[tuple[tuple[int, ...], ...], float] = {}
 
     def assess(expr: Expr) -> Individual:
         hit = scored.get(expr)
         if hit is None:
-            flows = compute_surrogate(
-                network, keep_flows, bad_flows, bandwidths, expr, config.threshold, keep
+            rerouted = compute_surrogate(
+                network, bad_flows, bandwidths, keep, expr, config.threshold
             )
-            plan = tuple(f.path for f in flows[: len(bad_flows)])
+            plan = tuple(f.path for f in rerouted)
             fitness = plans.get(plan)
             if fitness is None:
                 fitness = plans[plan] = evaluate_plan(
-                    network, flows, old_flows, bandwidths, config.threshold
+                    network, rerouted + keep_flows, old_flows, bandwidths, config.threshold
                 )
-            hit = scored[expr] = (fitness, flows)
+            hit = scored[expr] = (fitness, rerouted)
         return Individual(expr, hit[0])
 
     # min keeps the first of equal fitnesses: the earlier best, then the
@@ -329,4 +329,4 @@ def gen_plan(
         generations += 1
 
     retained = sorted(population, key=_FITNESS)[: config.population_size // 2]
-    return PlanResult(best, scored[best.expr][1], retained, generations, initial)
+    return PlanResult(best, scored[best.expr][1] + keep_flows, retained, generations, initial)

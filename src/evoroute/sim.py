@@ -146,14 +146,15 @@ def run_scenario(scenario: Scenario, seed: int | None = None, router: str | None
 
     # The event index, by tick: the requests arriving on it, in (arrival, id)
     # order, and those whose profile starts a segment on it after they
-    # arrived (profiles are sorted, so demand changes nowhere else). The
+    # arrived (demand changes nowhere else: before its first segment a
+    # request demands 0.0, which is also what it held before arriving). The
     # snapshot is rebuilt only on these ticks and right after a plan; in
     # between, the same floats carry over.
     arrivals: dict[int, list[Request]] = {}
     changes: dict[int, list[Request]] = {}
     for r in sorted(scenario.requests, key=lambda r: (r.arrival, r.id)):
         arrivals.setdefault(math.ceil(r.arrival), []).append(r)
-        for tick in {math.ceil(start) for start, _ in r.profile[1:] if r.arrival < start}:
+        for tick in {math.ceil(start) for start, _ in r.profile if r.arrival < start}:
             changes.setdefault(tick, []).append(r)
     # every demand, in scenario order since the demand sum adds in that
     # order; a request not yet arrived holds 0.0, which leaves the sum exact
@@ -185,9 +186,10 @@ def run_scenario(scenario: Scenario, seed: int | None = None, router: str | None
         max_util = snapshot.peak
 
         if congested and adaptive:
-            flows = {f.request: f for f in adapt_step(network, snapshot, t, bandwidths, state, gp, rng)}
+            plan = adapt_step(network, snapshot, t, bandwidths, state, gp, rng)
+            flows = {f.request: f for f in plan.new_flows}
             # arrivals meet the same inputs again until the next install
-            weigh = cache(formula_weigher(state.active_expr, gp.threshold))
+            weigh = cache(formula_weigher(plan.best.expr, gp.threshold))
             # the re-routed flows persist through this tick
             snapshot = make_snapshot(network, list(flows.values()), bandwidths)
 

@@ -99,7 +99,7 @@ def test_criterion_1_golden_trace():
         # that 0.6 utilization to weight 4
         direct = scenario.network.link(0)
         ctx = EvalContext(direct.bw, direct.dl, 0.6, scenario.gp.threshold)
-        assert to_weight(eval_expr(result.state.active_expr, ctx)) == 4
+        assert to_weight(eval_expr(parse_expr(result.state.log[0].formula), ctx)) == 4
         assert elapsed < 1.0
 
 

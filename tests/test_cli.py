@@ -223,6 +223,9 @@ class TestScenarioValidation:
             ("0:30:5", "profile segment '0:30:5'"),
             ("15:0,0:90", "strictly increasing"),
             ("0:30,0:50", "strictly increasing"),
+            ("0:30,inf:0", "start times must be finite"),
+            ("nan:30", "start times must be finite"),
+            ("0:30,1e400:0", "start times must be finite"),
         ],
     )
     def test_bad_profile_exits_one_naming_the_line(self, tmp_path, capsys, profile, message):
@@ -232,6 +235,7 @@ class TestScenarioValidation:
         assert code == 1
         err = capsys.readouterr().err
         assert "line 3" in err and message in err
+        assert not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize(

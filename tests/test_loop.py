@@ -41,11 +41,11 @@ class TestAdaptStep:
         flows = [Flow(i, (0,)) for i in range(3)]
         snap = make_snapshot(fig1, flows, bw)
         state = AdaptationState()
-        new_flows = adapt_step(
+        plan = adapt_step(
             fig1, snap, 5, bw, state, GpConfig(max_generations=300), random.Random(1)
         )
-        assert max(link_utilizations(fig1, new_flows, bw).values()) <= 0.8
-        assert state.active_expr is not None
+        assert max(link_utilizations(fig1, plan.new_flows, bw).values()) <= 0.8
+        assert state.log[-1].formula == format_expr(plan.best.expr)
         assert len(state.retained) == 5
         assert len(state.log) == 1
         assert state.log[0].tick == 5

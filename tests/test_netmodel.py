@@ -110,6 +110,9 @@ class TestBasics:
             (0.0, ((0.0, nan),), "bandwidth"),
             (0.0, ((0.0, 30.0), (5.0, inf)), "bandwidth"),
             (0.0, ((0.0, -1.0),), "bandwidth"),
+            (0.0, ((nan, 30.0),), "start times must be finite"),
+            (0.0, ((0.0, 30.0), (inf, 0.0)), "start times must be finite"),
+            (0.0, ((-inf, 30.0),), "start times must be finite"),
         ],
     )
     def test_request_numbers_must_be_finite(self, arrival, profile, message):
@@ -121,6 +124,10 @@ class TestBasics:
         assert r.bd(0) == 30.0
         assert r.bd(39.9) == 30.0
         assert r.bd(40) == 50.0
+
+    def test_request_demands_nothing_before_its_first_segment(self):
+        r = Request(0, 0, 1, 0.0, ((5.0, 90.0), (8.0, 10.0)))
+        assert [r.bd(t) for t in (0, 4.9, 5, 7.9, 8, 100)] == [0.0, 0.0, 90.0, 90.0, 10.0, 10.0]
 
     @pytest.mark.parametrize("profile", [((15.0, 0.0), (0.0, 90.0)), ((0.0, 30.0), (0.0, 50.0))])
     def test_request_profile_starts_strictly_increasing(self, profile):

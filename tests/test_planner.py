@@ -162,16 +162,15 @@ def kept_inputs(network, keep_flows, bandwidths):
 
 class TestComputeSurrogate:
     def test_fig1_reroute(self, fig1, example_expr):
+        # the kept flows load the direct link; only the re-routed flow comes back
         keep = [Flow(0, (0,)), Flow(1, (0,))]
         bad = [Flow(2, (0,))]
-        new = compute_surrogate(fig1, keep, bad, BW3, example_expr, 0.8, kept_inputs(fig1, keep, BW3))
-        by_req = {f.request: f for f in new}
-        assert by_req[2].path == (2, 4)  # 0 -> 2 -> 1
-        assert by_req[0].path == (0,) and by_req[1].path == (0,)
+        new = compute_surrogate(fig1, bad, BW3, kept_inputs(fig1, keep, BW3), example_expr, 0.8)
+        assert new == [Flow(2, (2, 4))]  # 0 -> 2 -> 1
 
     def test_empty_bad(self, fig1, example_expr):
         keep = [Flow(0, (0,))]
-        assert compute_surrogate(fig1, keep, [], BW3, example_expr, 0.8, kept_inputs(fig1, keep, BW3)) == keep
+        assert compute_surrogate(fig1, [], BW3, kept_inputs(fig1, keep, BW3), example_expr, 0.8) == []
 
     def test_sequential_diversion(self, fig1, example_expr):
         # the first reroute fills the two-hop path to 0.6 and its weights jump
@@ -180,20 +179,22 @@ class TestComputeSurrogate:
         bad = [Flow(2, (0,)), Flow(3, (0,))]
         bw = {0: 30.0, 1: 30.0, 2: 60.0, 3: 30.0}
         inputs = kept_inputs(fig1, keep, bw)
-        new = {f.request: f for f in compute_surrogate(fig1, keep, bad, bw, example_expr, 0.8, inputs)}
+        new = {f.request: f for f in compute_surrogate(fig1, bad, bw, inputs, example_expr, 0.8)}
         assert new[2].path == (2, 4)
         assert new[3].path == (6, 8, 10)
 
     def test_request_set_preserved(self, fig1, example_expr):
+        # the bad flows' requests, in bad_flows order
         keep = [Flow(0, (0,))]
-        bad = [Flow(1, (0,)), Flow(2, (0,))]
-        new = compute_surrogate(fig1, keep, bad, BW3, example_expr, 0.8, kept_inputs(fig1, keep, BW3))
-        assert sorted(f.request for f in new) == [0, 1, 2]
+        bad = [Flow(2, (0,)), Flow(1, (0,))]
+        new = compute_surrogate(fig1, bad, BW3, kept_inputs(fig1, keep, BW3), example_expr, 0.8)
+        assert [f.request for f in new] == [2, 1]
 
 
 def reference_surrogate(network, keep_flows, bad_flows, bandwidths, expr, threshold):
     """The re-route that also weighs the last placed flow's links, over a
-    dense utilization list with every link weighed apart."""
+    dense utilization list with every link weighed apart. Returns the
+    re-routed flows."""
     thr = dense_throughputs(network, keep_flows, bandwidths)
     util = [x / link.bw for x, link in zip(thr, network.links)]
     weigh = formula_weigher(expr, threshold)
@@ -207,7 +208,7 @@ def reference_surrogate(network, keep_flows, bad_flows, bandwidths, expr, thresh
             util[e] += bandwidths[f.request] / link.bw
             weights[e] = weigh(link.bw, link.dl, util[e])
         rerouted.append(Flow(f.request, tuple(path)))
-    return rerouted + list(keep_flows)
+    return rerouted
 
 
 @st.composite
@@ -231,7 +232,7 @@ class TestSurrogateStopsAfterLastPath:
     def test_matches_reference(self, case):
         network, keep, bad, bandwidths, expr = case
         inputs = kept_inputs(network, keep, bandwidths)
-        assert compute_surrogate(network, keep, bad, bandwidths, expr, 0.8, inputs) == reference_surrogate(
+        assert compute_surrogate(network, bad, bandwidths, inputs, expr, 0.8) == reference_surrogate(
             network, keep, bad, bandwidths, expr, 0.8
         )
 
@@ -252,7 +253,7 @@ class TestSurrogateStopsAfterLastPath:
         monkeypatch.setattr(planner, "shortest_weighted_path", counting_route)
         bad = [Flow(r, (0,)) for r in range(n_bad)]
         bandwidths = {r: 20.0 + r for r in range(n_bad)}
-        compute_surrogate(fig1, [], bad, bandwidths, example_expr, 0.8, kept_inputs(fig1, [], bandwidths))
+        compute_surrogate(fig1, bad, bandwidths, kept_inputs(fig1, [], bandwidths), example_expr, 0.8)
         # one evaluation for the idle links' class, then each flow takes link
         # 0 and every placement but the last re-weighs it at a new load
         assert events == ["eval", "route"] * n_bad
@@ -463,9 +464,9 @@ class TestFitnessCache:
         formulas = set()
         real_surrogate = planner.compute_surrogate
 
-        def recording(network, keep, bad, bandwidths, expr, *rest):
+        def recording(network, bad, bandwidths, keep, expr, *rest):
             formulas.add(expr)
-            return real_surrogate(network, keep, bad, bandwidths, expr, *rest)
+            return real_surrogate(network, bad, bandwidths, keep, expr, *rest)
 
         monkeypatch.setattr(planner, "evaluate_plan", counting)
         monkeypatch.setattr(planner, "compute_surrogate", recording)
@@ -483,15 +484,20 @@ class TestFitnessCache:
         surrogates = {}
         real_surrogate, real_breed = planner.compute_surrogate, planner._breed
 
-        def recording(network, keep, bad, bw, expr, *rest):
-            surrogates[expr] = real_surrogate(network, keep, bad, bw, expr, *rest)
+        def recording(network, bad, bw, keep, expr, *rest):
+            surrogates[expr] = real_surrogate(network, bad, bw, keep, expr, *rest)
             return surrogates[expr]
+
+        def whole_plan(rerouted):  # the re-routed flows, then the kept ones in old order
+            moved = {f.request for f in rerouted}
+            return rerouted + [f for f in old if f.request not in moved]
 
         checked = []
 
         def checking(population, *rest):  # sees every scored generation but the last
             for ind in population:
-                assert ind.fitness == evaluate_plan(net, surrogates[ind.expr], old, bandwidths, 0.8)
+                plan = whole_plan(surrogates[ind.expr])
+                assert ind.fitness == evaluate_plan(net, plan, old, bandwidths, 0.8)
                 checked.append(ind)
             return real_breed(population, *rest)
 
@@ -499,16 +505,18 @@ class TestFitnessCache:
         monkeypatch.setattr(planner, "_breed", checking)
         # no early stop: every generation runs, so many formulas are scored
         config = GpConfig(max_generations=30, early_stop_fitness=0.0)
-        gen_plan(net, old, bandwidths, [], config, random.Random(0))
+        result = gen_plan(net, old, bandwidths, [], config, random.Random(0))
         assert len(checked) == 300
+        # the flow set is the best plan's: its re-routed flows, then the kept ones
+        assert result.new_flows == whole_plan(surrogates[result.best.expr])
 
     def test_surrogate_once_per_distinct_formula(self, fig1, monkeypatch):
         calls = Counter()
         real = planner.compute_surrogate
 
-        def counting(network, keep, bad, bandwidths, expr, threshold, *rest):
+        def counting(network, bad, bandwidths, keep, expr, threshold):
             calls[format_expr(expr)] += 1
-            return real(network, keep, bad, bandwidths, expr, threshold, *rest)
+            return real(network, bad, bandwidths, keep, expr, threshold)
 
         monkeypatch.setattr(planner, "compute_surrogate", counting)
         # seed 2 searches for 19 generations, so parents recur

@@ -51,6 +51,7 @@ def reference_run(scenario, seed, router, kb):
     baseline = [static[link.id] for link in network.links]
     rng = Random(seed)
     state = AdaptationState(retained=list(kb))
+    installed = None  # the last plan's formula; None routes under the baseline
     flows = {}
     pending = sorted(scenario.requests, key=lambda r: (r.arrival, r.id))
     trace = []
@@ -62,9 +63,9 @@ def reference_run(scenario, seed, router, kb):
         while pending and pending[0].arrival <= t:
             req = pending.pop(0)
             weights = baseline
-            if state.active_expr is not None:
+            if installed is not None:
                 thr = dense_throughputs(network, flows.values(), bandwidths)
-                weigh = formula_weigher(state.active_expr, gp.threshold)
+                weigh = formula_weigher(installed, gp.threshold)
                 weights = [weigh(link.bw, link.dl, x / link.bw) for x, link in zip(thr, network.links)]
             flows[req.id] = route_request(network, weights, req)
         thr = dense_throughputs(network, flows.values(), bandwidths)
@@ -74,7 +75,9 @@ def reference_run(scenario, seed, router, kb):
         if congested and adaptive:
             excess = dense_excess(network, thr)
             snapshot = Snapshot(tuple(flows.values()), dict(enumerate(util)), max_util, excess)
-            flows = {f.request: f for f in adapt_step(network, snapshot, t, bandwidths, state, gp, rng)}
+            plan = adapt_step(network, snapshot, t, bandwidths, state, gp, rng)
+            flows = {f.request: f for f in plan.new_flows}
+            installed = plan.best.expr
         if congested:
             congested_ticks += 1
             occurrences += not in_run
@@ -162,6 +165,16 @@ def test_run_matches_per_tick_reference(scenario, router, seed, warm):
     assert [getattr(result.metrics, f) for f in fields] == [getattr(metrics, f) for f in fields]
     assert result.flows == flows
     assert log_rows(result.state) == log_rows(state)
+    # the run's invariants: every final flow is a simple path between its
+    # request's endpoints, congestion lasts within the run, loss is not negative
+    network, by_id = scenario.network, {r.id: r for r in scenario.requests}
+    for rid, flow in result.flows.items():
+        assert flow.request == rid
+        network.validate_flow(flow)
+        assert network.path_endpoints(flow.path) == (by_id[rid].s, by_id[rid].d)
+    m = result.metrics
+    assert m.congestion_occurrences <= m.congestion_duration <= scenario.resolved_duration()
+    assert m.packet_loss_proxy >= 0
 
 
 def test_demand_adds_in_scenario_order_not_arrival_order():
@@ -307,10 +320,12 @@ class TestRunScenario:
         # install, so the weigher behind that memo never sees an input twice
         real = sim.formula_weigher
         weighers = []  # per weigher built, the inputs it was asked to weigh
+        formulas = []  # per weigher built, its formula
 
         def recording(expr, threshold):
             weigh, seen = real(expr, threshold), []
             weighers.append(seen)
+            formulas.append(expr)
 
             def wrapped(bw, dl, util):
                 seen.append((bw, dl, util))
@@ -323,6 +338,18 @@ class TestRunScenario:
         assert len(weighers) == result.metrics.planner_invocations > 1
         assert any(weighers)  # some arrival is weighed
         assert all(len(seen) == len(set(seen)) for seen in weighers)
+        # each install is the formula its plan returned and logged
+        assert formulas == [parse_expr(r.formula) for r in result.state.log]
+
+    def test_demand_is_zero_before_the_first_segment_starts(self):
+        # the request arrives at 0 but its only segment starts at 5: the link
+        # carries nothing before tick 5, and 90 of 100 Mbps from it on
+        request = Request(0, 0, 1, 0.0, ((5.0, 90.0),))
+        scenario = Scenario(mnp_topology(3), [request], duration=8, router="unit-ospf")
+        result = run_scenario(scenario)
+        assert [(row.max_util, row.congested) for row in result.trace] == [(0.0, False)] * 5 + [(0.9, True)] * 3
+        assert result.metrics.congestion_occurrences == 1
+        assert result.metrics.congestion_duration == 3
 
     def test_unknown_router_rejected(self, fig1_scenario):
         with pytest.raises(ScenarioError, match="router"):
