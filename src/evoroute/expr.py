@@ -142,10 +142,6 @@ def to_weight(v: float) -> int:
     return max(1, math.floor(abs(v) + DIV_EPS))
 
 
-def depth(expr: Expr) -> int:
-    return expr.height
-
-
 def size(expr: Expr) -> int:
     return expr.size
 
@@ -241,76 +237,59 @@ def format_expr(expr: Expr) -> str:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<op>[+*/-])|"
-    r"(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<name>[a-zA-Z_]+))"
+    rf"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<op>[{re.escape(''.join(OPS))}])|"
+    r"(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<name>[a-zA-Z_]+)|(?P<bad>\S))"
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    return tokens
-
-
-def parse_expr(text: str) -> Expr:
+def parse_expr(text: str, max_depth: int = DEFAULT_MAX_DEPTH) -> Expr:
     """Parse the fully parenthesized infix format produced by format_expr.
 
-    Constants must be finite; since every operator's result is clamped to
-    VALUE_CAP, a parsed tree then evaluates finite on finite inputs.
+    The one depth rule for formula text: a tree is read only if its height is
+    at most ``max_depth``, and the first '(' that would open a node with
+    children beyond the bound is refused at its offset, which also keeps the
+    recursion shallow. A character outside the token set is reported before
+    any other fault. Constants must be finite; since every operator's result
+    is clamped to VALUE_CAP, a parsed tree then evaluates finite on finite
+    inputs.
     """
-    tokens = _tokenize(text)
-    idx = 0
+    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in _TOKEN_RE.finditer(text)]
+    for kind, value, pos in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+    end = (None, "", len(text))
+    rest = iter(tokens)
 
-    def peek():
-        return tokens[idx] if idx < len(tokens) else (None, "", len(text))
-
-    def parse_node(open_parens: int = 0) -> Expr:
-        nonlocal idx
-        kind, value, pos = peek()
+    def parse_node(level: int) -> Expr:
+        kind, value, pos = next(rest, end)
         if kind is None:
             raise ParseError("unexpected end of input", pos)
         if kind == "num":
-            idx += 1
             number = float(value)
             if not math.isfinite(number):  # an overflowing literal such as 1e400
                 raise ParseError(f"constant {value!r} is not finite", pos)
             return Const(number)
         if kind == "name":
-            idx += 1
             if value not in VAR_NAMES:
                 raise ParseError(f"unknown identifier {value!r}", pos)
             return Var(value)
         if kind == "lpar":
-            # no tree within the depth bound nests this deep, and refusing
-            # here keeps the recursion shallow
-            if open_parens == DEFAULT_MAX_DEPTH:
-                raise ParseError(f"parentheses nested beyond the depth bound {DEFAULT_MAX_DEPTH}", pos)
-            idx += 1
-            left = parse_node(open_parens + 1)
-            okind, ovalue, opos = peek()
-            if okind != "op":
-                raise ParseError("expected operator", opos)
-            idx += 1
-            right = parse_node(open_parens + 1)
-            ckind, _, cpos = peek()
-            if ckind != "rpar":
-                raise ParseError("expected ')'", cpos)
-            idx += 1
-            return BinOp(ovalue, left, right)
+            # an operator node at the bound would put its children beyond it
+            if level >= max_depth:
+                raise ParseError(f"formula deeper than the depth bound {max_depth}", pos)
+            left = parse_node(level + 1)
+            kind, op, pos = next(rest, end)
+            if kind != "op":
+                raise ParseError("expected operator", pos)
+            right = parse_node(level + 1)
+            kind, _, pos = next(rest, end)
+            if kind != "rpar":
+                raise ParseError("expected ')'", pos)
+            return BinOp(op, left, right)
         raise ParseError(f"unexpected token {value!r}", pos)
 
-    expr = parse_node()
-    kind, value, pos = peek()
+    expr = parse_node(1)
+    kind, value, pos = next(rest, end)
     if kind is not None:
         raise ParseError(f"trailing input {value!r}", pos)
     return expr

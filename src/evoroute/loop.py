@@ -89,8 +89,9 @@ def export_kb(retained: Sequence[Individual], path: str) -> None:
 
 
 def import_kb(path: str, max_depth: int = DEFAULT_MAX_DEPTH) -> list[Individual]:
-    """Read a formula file; every formula is re-validated against the grammar
-    and depth bound, and fitness is treated as unevaluated."""
+    """Read a formula file; every formula is re-validated by ``parse_expr``
+    against the grammar and ``max_depth``, and fitness is treated as
+    unevaluated. A bad line is refused naming its number."""
     retained: list[Individual] = []
     for lineno, line in read_lines(path):
         parts = line.split(maxsplit=1)
@@ -101,12 +102,8 @@ def import_kb(path: str, max_depth: int = DEFAULT_MAX_DEPTH) -> list[Individual]
         except ValueError:
             raise KbImportError(f"line {lineno}: bad fitness value {parts[0]!r}") from None
         try:
-            expr = parse_expr(parts[1])
+            expr = parse_expr(parts[1], max_depth)
         except ValueError as exc:
             raise KbImportError(f"line {lineno}: {exc}") from None
-        if expr.height > max_depth:
-            raise KbImportError(
-                f"line {lineno}: formula depth {expr.height} exceeds bound {max_depth}"
-            )
         retained.append(Individual(expr, None))
     return retained

@@ -1,8 +1,9 @@
 import os
+import random
 
 import pytest
 
-from evoroute.expr import parse_expr
+from evoroute.expr import OPS, BinOp, grow_random, parse_expr
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -15,6 +16,18 @@ EXAMPLE_FORMULA = (
 
 def scenario_path(name: str) -> str:
     return os.path.join(SCENARIO_DIR, f"{name}.scenario")
+
+
+def tree_of_height(height: int, seed: int):
+    """A random tree exactly ``height`` high: a spine of operator nodes, each
+    beside a grown subtree no taller than the spine below it, on either side."""
+    rng = random.Random(seed)
+    expr = grow_random(1, rng)
+    for level in range(1, height):
+        side = grow_random(level, rng)
+        pair = (expr, side) if rng.random() < 0.5 else (side, expr)
+        expr = BinOp(OPS[rng.randrange(len(OPS))], *pair)
+    return expr
 
 
 def dense_throughputs(network, flows, bandwidths):

@@ -1,11 +1,16 @@
+import contextlib
 import csv
+import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import scenario_path
+from conftest import scenario_path, tree_of_height
 
 from evoroute import cli, netmodel, sim
 from evoroute.cli import main
+from evoroute.expr import format_expr
 
 METRICS = ("congestion_occurrences", "congestion_duration_s", "packet_loss_proxy", "planner_invocations")
 
@@ -448,7 +453,7 @@ class TestScenarioValidation:
         path.write_text("network mnp 3\nkb deep.kb\nrequest 0 1 0 30\n")
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert "kb: line 2: deep.kb: line 1: parentheses nested beyond the depth bound 15 at offset 15" in err
+        assert "kb: line 2: deep.kb: line 1: formula deeper than the depth bound 15 at offset 14" in err
 
     def test_gp_settings_at_their_bounds_run(self, tmp_path):
         path = tmp_path / "edge.scenario"
@@ -602,14 +607,14 @@ class TestTransfer:
         kb_file = tmp_path / "kb.txt"
         kb_file.write_text(f"0.0 {DEEP_FORMULA}\n")
         assert main(["transfer", "import", "--kb", str(kb_file)]) == 1
-        assert "line 1: parentheses nested beyond the depth bound 15" in capsys.readouterr().err
+        assert "line 1: formula deeper than the depth bound 15 at offset 14" in capsys.readouterr().err
 
     def test_run_with_too_deeply_nested_kb_exits_one_naming_the_line(self, tmp_path, capsys):
         kb_file = tmp_path / "kb.txt"
         kb_file.write_text(f"0.0 {DEEP_FORMULA}\n")
         args = ["run", "--scenario", scenario_path("mnp3_2"), "--out", str(tmp_path / "out")]
         assert main(args + ["--kb", str(kb_file)]) == 1
-        assert "line 1: parentheses nested beyond the depth bound 15" in capsys.readouterr().err
+        assert "line 1: formula deeper than the depth bound 15 at offset 14" in capsys.readouterr().err
 
     def test_import_directory_exits_one(self, tmp_path, capsys):
         assert main(["transfer", "import", "--kb", str(tmp_path)]) == 1
@@ -652,6 +657,49 @@ class TestTransfer:
             == 0
         )
         assert int(read_csv(out / "metrics.csv")[0]["planner_invocations"]) >= 1
+
+
+# Knowledge-base file text: mostly `<fitness> <formula>` lines, with fitness
+# tokens that read as floats (nan, inf and 1e400 among them) or do not, and
+# formulas up to three levels past the depth bound with characters inserted;
+# a trailing comment, or a blank, comment-only or free-text line.
+_KB_FITNESS = st.sampled_from(["0.5", "-3", "1e-3", "nan", "inf", "-inf", "1e400", "0x1p3", "1_0", "abc"])
+_KB_INSERTS = st.one_of(
+    st.sampled_from([*"()+-*/.e#", " ", "\t", "\n", "1e400", "nan", "util", "x"]), st.text(min_size=1, max_size=1)
+)
+
+
+@st.composite
+def _kb_lines(draw):
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return draw(st.text(max_size=20))
+    if kind == 1:
+        return draw(st.sampled_from(["", "   ", "# retained", "\t# indented"]))
+    text = format_expr(tree_of_height(draw(st.integers(1, 18)), draw(st.integers(0, 10**9))))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_KB_INSERTS) + text[at:]
+    gap = draw(st.sampled_from([" ", "\t", "  "]))
+    note = draw(st.sampled_from(["", "  # best", "#"]))
+    return f"{draw(_KB_FITNESS)}{gap}{text}{note}"
+
+
+@pytest.fixture(scope="module")
+def fuzz_kb(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "kb.txt"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_kb_lines(), max_size=4))
+def test_import_of_any_kb_text_exits_zero_or_one_naming_the_line(fuzz_kb, lines):
+    fuzz_kb.write_text("\n".join(lines), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["transfer", "import", "--kb", str(fuzz_kb)])
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: line "), err.getvalue()
 
 
 class TestCompare:

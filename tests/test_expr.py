@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import tree_of_height
+
 from evoroute.expr import (
     OPS,
     VAR_NAMES,
@@ -21,7 +23,6 @@ from evoroute.expr import (
     ParseError,
     Var,
     crossover,
-    depth,
     eval_expr,
     format_expr,
     grow_random,
@@ -81,7 +82,7 @@ class TestGrow:
     def test_depth_one_is_leaf(self):
         rng = random.Random(3)
         for _ in range(50):
-            assert depth(grow_random(1, rng)) == 1
+            assert grow_random(1, rng).height == 1
 
     def test_deterministic_under_seed(self):
         a = grow_random(15, random.Random(99))
@@ -90,7 +91,7 @@ class TestGrow:
 
     def test_depth_bound_over_many_samples(self):
         rng = random.Random(5)
-        assert all(depth(grow_random(15, rng)) <= 15 for _ in range(10_000))
+        assert all(grow_random(15, rng).height <= 15 for _ in range(10_000))
 
     def test_const_range(self):
         rng = random.Random(11)
@@ -126,8 +127,8 @@ class TestCrossover:
             a = grow_random(15, rng)
             b = grow_random(15, rng)
             c1, c2 = crossover(a, b, random.Random(seed))
-            assert depth(c1) <= 15 and depth(c2) <= 15
-            if c1 == a and depth(a) > 1:
+            assert c1.height <= 15 and c2.height <= 15
+            if c1 == a and a.height > 1:
                 repaired += 1
         assert repaired > 0  # the repair path is exercised
 
@@ -217,7 +218,7 @@ def assert_counts(expr):
     """Every node's size and height fields equal the recursive measures."""
     for node, _ in reference_nodes_with_levels(expr):
         assert (node.size, node.height) == (reference_size(node), reference_depth(node))
-    assert (size(expr), depth(expr)) == (reference_size(expr), reference_depth(expr))
+    assert (size(expr), expr.height) == (reference_size(expr), reference_depth(expr))
 
 
 class TestCounts:
@@ -332,13 +333,13 @@ class TestReplaceSubtree:
 class TestMutate:
     def test_leaf_input_regrown(self):
         out = mutate(Var("util"), random.Random(8))
-        assert depth(out) >= 1  # whole tree replaced by a fresh grow
+        assert out.height >= 1  # whole tree replaced by a fresh grow
 
     def test_depth_bound(self):
         rng = random.Random(6)
         for seed in range(300):
             expr = grow_random(15, rng)
-            assert depth(mutate(expr, random.Random(seed))) <= 15
+            assert mutate(expr, random.Random(seed)).height <= 15
 
     def test_deterministic(self):
         expr = grow_random(10, random.Random(12))
@@ -381,6 +382,51 @@ class TestTextFormat:
     def test_missing_operator(self):
         with pytest.raises(ParseError):
             parse_expr("(util 1)")
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("", "unexpected end of input", 0),
+            ("(util +", "unexpected end of input", 7),
+            ("(util * 1e400)", "constant '1e400' is not finite", 8),
+            ("(frob + 1)", "unknown identifier 'frob'", 1),
+            ("(util 1)", "expected operator", 6),
+            ("(util + 1", "expected ')'", 9),
+            (")", "unexpected token ')'", 0),
+            ("(util - bw))", "trailing input ')'", 11),
+            ("  .5", "unexpected character '.'", 2),
+            # a bad character is reported before a fault earlier in the text
+            ("(util 1) é", "unexpected character 'é'", 9),
+        ],
+    )
+    def test_each_fault_is_named_at_its_offset(self, text, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text)
+        assert str(exc.value) == f"{message} at offset {position}"
+        assert exc.value.position == position
+
+    def test_default_bound_is_the_gp_depth_bound(self):
+        assert parse_expr(format_expr(tree_of_height(15, 0))).height == 15
+        with pytest.raises(ParseError, match="depth bound 15 "):
+            parse_expr(format_expr(tree_of_height(16, 0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(tree_of_height, st.integers(1, 17), st.integers(0, 10**9)), st.integers(1, 15))
+def test_parse_reads_exactly_the_trees_within_the_depth_bound(expr, bound):
+    """A tree's text is read back iff its height is at most the bound. Any
+    other is refused at the first '(' that opens a node whose children lie
+    beyond the bound: the one with ``bound - 1`` parentheses open before it."""
+    text = format_expr(expr)
+    if expr.height <= bound:
+        assert parse_expr(text, bound) == expr
+        return
+    with pytest.raises(ParseError) as exc:
+        parse_expr(text, bound)
+    pos = exc.value.position
+    assert str(exc.value) == f"formula deeper than the depth bound {bound} at offset {pos}"
+    assert text[pos] == "("
+    assert text[:pos].count("(") - text[:pos].count(")") == bound - 1
 
 
 # Parser input over its token alphabet: free-form token strings, which are

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from evoroute.expr import BinOp, Var, depth, format_expr
+from evoroute.expr import BinOp, Var, format_expr
 from evoroute.loop import (
     AdaptationState,
     KbImportError,
@@ -98,7 +98,7 @@ class TestKbFiles:
         expr = Var("util")
         for _ in range(16):
             expr = BinOp("+", expr, Var("util"))
-        assert depth(expr) == 17
+        assert expr.height == 17
         path = tmp_path / "kb.txt"
         path.write_text(f"0.5 {format_expr(expr)}\n")
         with pytest.raises(KbImportError, match="depth"):

@@ -403,7 +403,7 @@ class TestKnowledgeBaseFile:
         (tmp_path / "kb.txt").write_text("0.5 ((util + bw) * dl)\n")
         path = tmp_path / "s.scenario"
         path.write_text("network mnp 3\nkb kb.txt\nmax_depth 2\nrequest 0 1 0 30\n")
-        message = "kb: line 2: kb.txt: line 1: formula depth 3 exceeds bound 2"
+        message = "kb: line 2: kb.txt: line 1: formula deeper than the depth bound 2 at offset 1"
         with pytest.raises(ScenarioError, match=message):
             load_scenario(str(path))
 
