@@ -6,7 +6,7 @@ import os
 import sys
 
 from .loop import KbImportError, export_kb, import_kb
-from .netmodel import TOPOLOGIES, ConfigError, NetworkError, save_network
+from .netmodel import TOPOLOGIES, ConfigError, InputError, NetworkError, save_network
 from .sim import (
     METRICS_COLUMNS,
     ROUTERS,
@@ -191,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION  # a usage error; argparse has printed it
     try:
         args.func(args)  # a command fails by raising; main alone picks the exit code
-    except (ScenarioError, NetworkError, ConfigError, KbImportError, OSError) as exc:
+    except (ScenarioError, NetworkError, ConfigError, KbImportError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # runtime failure

@@ -2,7 +2,8 @@
 
 Everything here is an immutable value: networks, links, requests, flows and
 snapshots never change after construction, and all operations are pure
-functions. Link weights are positive integers supplied by the caller.
+functions. Link weights are positive integers supplied by the caller, as a
+``Weights`` value that carries its floor.
 """
 
 import heapq
@@ -20,6 +21,10 @@ class NetworkError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid topology-generator or scenario configuration."""
+
+
+class InputError(ValueError):
+    """An input file line that is not UTF-8 text."""
 
 
 class _LinkFields(NamedTuple):
@@ -262,29 +267,44 @@ def make_snapshot(
     return Snapshot(tuple(flows), util, max(util.values(), default=0.0), excess)
 
 
-def _check_weights(network: Network, weights: Sequence[int]) -> int:
-    """Every link needs a weight of at least 1, and the weights, indexed by
-    link id, must cover exactly the links: ``len`` and ``min`` check it.
-    Returns the smallest weight, 0 on a network without links."""
+class Weights(NamedTuple):
+    """Link weights, indexed by link id, with a floor: ``lo`` is at most
+    every weight, and at least 1 (0 on a network without links).
+
+    ``check_weights`` builds a checked value from a plain sequence. A caller
+    that already knows its weights are integers >= 1 (the planner's come
+    from ``expr.to_weight``) may build one directly and keep ``lo`` a bound
+    as it changes weights. A looser floor only settles more nodes.
+    """
+
+    values: Sequence[int]
+    lo: int
+
+
+def check_weights(network: Network, values: Sequence[int]) -> Weights:
+    """The one weight check: every link needs a weight of at least 1, and
+    the values, indexed by link id, must cover exactly the links. Returns
+    them with their smallest weight as the floor."""
     n_links = len(network.links)
-    if len(weights) < n_links:
-        raise NetworkError(f"weight missing for link {len(weights)}")
-    if len(weights) > n_links:
-        raise NetworkError(f"{len(weights)} weights for {n_links} links")
-    if not weights:
-        return 0
-    lo = min(weights)
+    if len(values) < n_links:
+        raise NetworkError(f"weight missing for link {len(values)}")
+    if len(values) > n_links:
+        raise NetworkError(f"{len(values)} weights for {n_links} links")
+    if not values:
+        return Weights(values, 0)
+    lo = min(values)
     if lo < 1:
-        raise NetworkError(f"weight for link {weights.index(lo)} must be >= 1")
-    return lo
+        raise NetworkError(f"weight for link {values.index(lo)} must be >= 1")
+    return Weights(values, lo)
 
 
 def shortest_weighted_path(
-    network: Network, weights: Sequence[int], src: int, dst: int
+    network: Network, weights: Weights, src: int, dst: int
 ) -> tuple[int, ...] | None:
     """Minimum-total-weight directed path from src to dst as a tuple of link ids.
 
-    ``weights`` is a sequence indexed by link id.
+    ``weights`` is a ``Weights`` value; routing reads its floor and scans no
+    weight to check it. A plain sequence is refused (``TypeError``).
     Among equal-cost paths, returns the one with the lexicographically
     smallest node-id sequence, which makes routing deterministic. Returns
     None when dst is unreachable.
@@ -293,15 +313,18 @@ def shortest_weighted_path(
         raise NetworkError("src and dst must differ")
     if not (0 <= src < network.n_nodes and 0 <= dst < network.n_nodes):
         raise NetworkError(f"node out of range: src={src} dst={dst}")
-    lo = _check_weights(network, weights)
+    if type(weights) is not Weights:
+        raise TypeError(f"weights must be a Weights value (see check_weights), got {type(weights).__name__}")
+    values, lo = weights
 
     # Settle distances to dst over in-links until the first pop d with
-    # d + lo >= dist[src]. The stop is exact: a node nearer to dst than
-    # dist[src] has its next hop nearer than dist[src] - lo <= d, which is
-    # settled, so that node's distance is final, and so is src's. Then walk
-    # from src, at each node taking the smallest-id neighbour that stays on a
-    # shortest path: the walk yields the lexicographically smallest node
-    # sequence, and since weights are >= 1 the distance falls at each step.
+    # d + lo >= dist[src]. The stop is exact for any floor lo at or below
+    # every weight: a node nearer to dst than dist[src] has its next hop
+    # nearer than dist[src] - lo <= d, which is settled, so that node's
+    # distance is final, and so is src's. Then walk from src, at each node
+    # taking the smallest-id neighbour that stays on a shortest path: the
+    # walk yields the lexicographically smallest node sequence, and since
+    # weights are >= 1 the distance falls at each step.
     inf = math.inf
     dist = [inf] * network.n_nodes
     dist[dst] = 0
@@ -314,7 +337,7 @@ def shortest_weighted_path(
         if d > dist[v]:
             continue
         for e, u in into[v]:
-            du = d + weights[e]
+            du = d + values[e]
             if du < dist[u]:
                 dist[u] = du
                 heapq.heappush(heap, (du, u))
@@ -326,7 +349,7 @@ def shortest_weighted_path(
     while u != dst:
         du = dist[u]
         for v, e in out[u]:
-            if dist[v] + weights[e] == du:
+            if dist[v] + values[e] == du:
                 path.append(e)
                 u = v
                 break
@@ -385,8 +408,8 @@ def mnp_topology(k: int, bw: float = 100.0, dl: float = 25.0) -> Network:
 TOPOLOGIES = {"full": full_topology, "mnp": mnp_topology}
 
 
-def unit_weights(network: Network) -> list[int]:
-    return [1] * len(network.links)
+def unit_weights(network: Network) -> Weights:
+    return check_weights(network, [1] * len(network.links))
 
 
 def save_network(network: Network, path: str) -> None:
@@ -399,9 +422,21 @@ def save_network(network: Network, path: str) -> None:
 
 def read_lines(path: str) -> Iterator[tuple[int, str]]:
     """Each line of an input file that holds more than a comment, as (line
-    number, text); in every format a comment runs from ``#`` to the line's end."""
-    with open(path) as fh:
+    number, text); in every format a comment runs from ``#`` to the line's end.
+
+    Files are read as UTF-8 whatever the locale. A line with a byte that is
+    not UTF-8, in a comment too, is refused (``InputError``) naming
+    ``path:line``.
+    """
+    # an undecodable byte b reads as the lone surrogate U+DC00 + b, which
+    # no UTF-8 text holds, so encoding the line back finds it
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(raw[exc.start]) - 0xDC00
+                raise InputError(f"{path}:{lineno}: byte 0x{byte:02x} is not UTF-8") from None
             text = raw.split("#", 1)[0].strip()
             if text:
                 yield lineno, text

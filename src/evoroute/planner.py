@@ -21,6 +21,7 @@ from .netmodel import (
     Flow,
     Network,
     NetworkError,
+    Weights,
     link_utilizations,
     shortest_weighted_path,
 )
@@ -160,11 +161,35 @@ def link_inputs(network: Network, util: Mapping[int, float]) -> LinkInputs:
     return LinkInputs(util, list(index), of)
 
 
-def link_weights(table: LinkInputs, weigh: Weigher) -> list[int]:
-    """Every link's weight under a weigher, indexed by link id: one weighing
-    per distinct input."""
-    values = list(starmap(weigh, table.inputs))
-    return list(map(values.__getitem__, table.of))
+def link_weights(table: LinkInputs, weigh: Weigher) -> Weights:
+    """Every link's weight under a weigher: one weighing per distinct input.
+
+    The values are a fresh list indexed by link id. The floor is the
+    smallest weight over the distinct inputs, which is the smallest link
+    weight, since some link has each input. The weigher must give integers
+    >= 1, as ``formula_weigher`` does.
+    """
+    by_input = list(starmap(weigh, table.inputs))
+    return Weights([by_input[i] for i in table.of], min(by_input) if by_input else 0)
+
+
+def reweigh(
+    network: Network, weights: Weights, weighed: Mapping[int, float], util: Mapping[int, float], weigh: Weigher
+) -> Weights:
+    """``weights``, weighed on the utilization map ``weighed``, brought to
+    ``util``: only the links whose utilization differs are weighed again, in
+    place, and the floor is lowered to any new weight below it. Exact, since
+    a weight is a function of the link's (bw, dl, util) alone; a link absent
+    from a map is idle in it."""
+    values, lo = weights
+    bws, dls = network.bws, network.dls
+    for e in weighed.keys() | util.keys():
+        u = util.get(e, 0.0)
+        if u != weighed.get(e, 0.0):
+            w = values[e] = weigh(bws[e], dls[e], u)
+            if w < lo:
+                lo = w
+    return Weights(values, lo)
 
 
 def compute_surrogate(
@@ -180,12 +205,15 @@ def compute_surrogate(
 
     Utilization starts from the kept flows only: ``keep`` holds their link
     inputs, and is not changed. After each placement but the last the
-    weights of the links on the new path are refreshed.
+    weights of the links on the new path are refreshed, and the floor is
+    lowered to any refreshed weight below it, so that it stays at or below
+    every weight.
     """
     util = dict(keep.util)
     get = util.get
     weigh = formula_weigher(expr, threshold)
     weights = link_weights(keep, weigh)
+    values, lo = weights
     bws, dls = network.bws, network.dls
     rerouted: list[Flow] = []
     for f in bad_flows:
@@ -198,7 +226,10 @@ def compute_surrogate(
         for e in path:
             bw = bws[e]
             u = util[e] = get(e, 0.0) + bd / bw
-            weights[e] = weigh(bw, dls[e], u)
+            w = values[e] = weigh(bw, dls[e], u)
+            if w < lo:
+                lo = w
+                weights = Weights(values, lo)
     return rerouted
 
 

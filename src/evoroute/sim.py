@@ -13,8 +13,11 @@ from .loop import AdaptationState, KbImportError, adapt_step, detect, import_kb
 from .netmodel import (
     TOPOLOGIES,
     Flow,
+    InputError,
     Network,
     Request,
+    Weights,
+    check_weights,
     link_utilizations,
     load_network,
     make_snapshot,
@@ -22,7 +25,7 @@ from .netmodel import (
     shortest_weighted_path,
     unit_weights,
 )
-from .planner import GpConfig, Individual, formula_weigher, link_inputs, link_weights
+from .planner import GpConfig, Individual, formula_weigher, link_inputs, link_weights, reweigh
 
 ROUTERS = ("unit-ospf", "inverse-bw-ospf", "genadapt", "genadapt-reuse")
 ADAPTIVE_ROUTERS = ("genadapt", "genadapt-reuse")  # they plan
@@ -77,15 +80,15 @@ class RunResult(NamedTuple):
     state: AdaptationState
 
 
-def inverse_bw_weights(network: Network) -> list[int]:
+def inverse_bw_weights(network: Network) -> Weights:
     """Weights inversely proportional to link bandwidth: max(1, floor(C/bw)),
     C being ``INVERSE_BW_REFERENCE``."""
-    return [max(1, math.floor(INVERSE_BW_REFERENCE / bw)) for bw in network.bws]
+    return check_weights(network, [max(1, math.floor(INVERSE_BW_REFERENCE / bw)) for bw in network.bws])
 
 
 def route_request(
     network: Network,
-    weights: Sequence[int],
+    weights: Weights,
     request: Request,
 ) -> Flow:
     """Create the flow for a newly arrived request under the given weights."""
@@ -136,6 +139,11 @@ def run_scenario(scenario: Scenario, seed: int | None = None, router: str | None
     adaptive = router in ADAPTIVE_ROUTERS
     baseline = inverse_bw_weights(network) if router == "inverse-bw-ospf" else unit_weights(network)
     weigh = None  # the installed formula's memoised weigher; None routes under the baseline
+    # the weights arrivals route under, and the utilization map the installed
+    # formula's weights were last weighed on: an install weighs the idle
+    # network, and each arrival reweighs only the links whose utilization
+    # changed since
+    weights, weighed = baseline, {}
 
     rng = Random(seed)
     state = AdaptationState(check_kb(scenario, (router,)) if router == "genadapt-reuse" else ())
@@ -172,11 +180,9 @@ def run_scenario(scenario: Scenario, seed: int | None = None, router: str | None
 
         # admit arrivals, routing each under the weights of the moment
         for req in arrived:
-            if weigh is None:
-                weights = baseline
-            else:
+            if weigh is not None:
                 util = snapshot.util if snapshot else link_utilizations(network, list(flows.values()), bandwidths)
-                weights = link_weights(link_inputs(network, util), weigh)
+                weights, weighed = reweigh(network, weights, weighed, util, weigh), util
             flows[req.id] = route_request(network, weights, req)
             snapshot = None
 
@@ -190,6 +196,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None, router: str | None
             flows = {f.request: f for f in plan.new_flows}
             # arrivals meet the same inputs again until the next install
             weigh = cache(formula_weigher(plan.best.expr, gp.threshold))
+            weights, weighed = link_weights(link_inputs(network, {}), weigh), {}
             # the re-routed flows persist through this tick
             snapshot = make_snapshot(network, list(flows.values()), bandwidths)
 
@@ -258,7 +265,7 @@ def with_kb(scenario: Scenario, path: str, source: str) -> Scenario:
     under its ``max_depth`` and named ``source``; refuses a bad file."""
     try:
         kb = tuple(import_kb(path, max_depth=scenario.gp.max_depth))
-    except (OSError, KbImportError) as exc:
+    except (OSError, KbImportError, InputError) as exc:
         raise ScenarioError(f"{source}: {exc}") from None
     return scenario._replace(kb=kb, kb_source=source)
 

@@ -5,6 +5,7 @@ PASS/FAIL line for it. The seed-batch fixture is shared between the
 resolution and comparison criteria to keep total runtime low.
 """
 
+import math
 import random
 import statistics
 import time
@@ -164,7 +165,7 @@ def test_criterion_4_fitness_suite():
 
 def test_criterion_5_oracles():
     with criterion(5, "search primitives match exhaustive oracles"):
-        from evoroute.netmodel import shortest_weighted_path
+        from evoroute.netmodel import check_weights, shortest_weighted_path
 
         rng = random.Random(99)
         for _ in range(200):
@@ -177,7 +178,7 @@ def test_criterion_5_oracles():
             net = Network(n, links)
             weights = [rng.randint(1, 9) for l in net.links]
             src, dst = rng.sample(range(n), 2)
-            assert shortest_weighted_path(net, weights, src, dst) == brute_force_shortest(
+            assert shortest_weighted_path(net, check_weights(net, weights), src, dst) == brute_force_shortest(
                 net, weights, src, dst
             )
 
@@ -220,14 +221,18 @@ def test_criterion_7_scaling_shape():
         nets = [full_topology(n) for n in sizes]
         flows = [Flow(i, (0,)) for i in range(5)]  # 5 x 30 = 150 Mbps
         bw = {i: 30.0 for i in range(5)}
-        times = [[] for _ in sizes]
+        times = [[math.inf] * 15 for _ in sizes]
         # every seed times all sizes in turn, so that a phase of host
-        # contention slows every size alike instead of one size's median
-        for seed in range(15):
-            for net, samples in zip(nets, times):
-                start = time.perf_counter()
-                gen_plan(net, flows, bw, [], GpConfig(), random.Random(seed))
-                samples.append(time.perf_counter() - start)
+        # contention slows every size alike instead of one size's median;
+        # each (size, seed) search is the same work every round, and keeps
+        # its fastest of three rounds, so a burst that slows one round moves
+        # no sample
+        for _ in range(3):
+            for seed in range(15):
+                for net, samples in zip(nets, times):
+                    start = time.perf_counter()
+                    gen_plan(net, flows, bw, [], GpConfig(), random.Random(seed))
+                    samples[seed] = min(samples[seed], time.perf_counter() - start)
         medians = [statistics.median(samples) for samples in times]
         link_counts = [len(net.links) for net in nets]
 

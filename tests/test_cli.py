@@ -455,6 +455,36 @@ class TestScenarioValidation:
         err = capsys.readouterr().err
         assert "kb: line 2: deep.kb: line 1: formula deeper than the depth bound 15 at offset 14" in err
 
+    @pytest.mark.parametrize("byte", [b"\xe9", b"\xff"])
+    @pytest.mark.parametrize("where", ["scenario", "network file", "kb line", "transfer import"])
+    def test_undecodable_byte_exits_one_naming_the_file_and_line(self, tmp_path, capsys, byte, where):
+        # a byte that is not UTF-8, here in a trailing comment or a formula,
+        # after a line whose comment is UTF-8 text beyond ASCII
+        (tmp_path / "k.kb").write_bytes(b"0.5 util  # r\xc3\xa9sum\xc3\xa9\n0.5 util" + byte + b"\n")
+        (tmp_path / "n.net").write_bytes(b"nodes 2  # caf\xc3\xa9\nlink 0 0 1 100 25  # " + byte + b"\n")
+        scenario = tmp_path / "s.scenario"
+        lines = {
+            "scenario": b"network mnp 3  # caf\xc3\xa9\nrequest 0 1 0 30  # " + byte + b"\n",
+            "network file": b"network file n.net\nrequest 0 1 0 30\n",
+            "kb line": b"network mnp 3\nrouter genadapt-reuse\nkb k.kb\nrequest 0 1 0 30\n",
+        }
+        scenario.write_bytes(lines.get(where, b""))
+        out = tmp_path / "out"
+        if where == "transfer import":
+            args = ["transfer", "import", "--kb", str(tmp_path / "k.kb")]
+        else:
+            args = ["run", "--scenario", str(scenario), "--out", str(out)]
+        assert main(args) == 1
+        bad = f"byte 0x{byte[0]:02x} is not UTF-8"
+        expected = {
+            "scenario": f"{scenario}:2: {bad}",
+            "network file": f"network: line 1: {tmp_path / 'n.net'}:2: {bad}",
+            "kb line": f"kb: line 3: k.kb: {tmp_path / 'k.kb'}:2: {bad}",
+            "transfer import": f"{tmp_path / 'k.kb'}:2: {bad}",
+        }[where]
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not out.exists()
+
     def test_gp_settings_at_their_bounds_run(self, tmp_path):
         path = tmp_path / "edge.scenario"
         path.write_text(

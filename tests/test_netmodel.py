@@ -11,16 +11,20 @@ from conftest import throughput
 from evoroute.netmodel import (
     ConfigError,
     Flow,
+    InputError,
     Link,
     Network,
     NetworkError,
     Request,
+    Weights,
+    check_weights,
     full_topology,
     link_throughputs,
     link_utilizations,
     load_network,
     make_snapshot,
     mnp_topology,
+    read_lines,
     save_network,
     shortest_weighted_path,
     unit_weights,
@@ -174,7 +178,7 @@ class TestBasics:
     def test_adjacency_built_on_first_use(self):
         net = Network(3, [Link(0, 2, 0, 100.0, 25.0), Link(1, 0, 2, 100.0, 25.0), Link(2, 0, 1, 100.0, 25.0)])
         assert "in_links" not in vars(net) and "out_by_dst" not in vars(net)
-        assert shortest_weighted_path(net, [1, 1, 1], 0, 2) == (1,)
+        assert shortest_weighted_path(net, check_weights(net, [1, 1, 1]), 0, 2) == (1,)
         assert net.in_links == ([(0, 2)], [(2, 0)], [(1, 0)])
         assert net.out_by_dst == ([(1, 2), (2, 1)], [], [(0, 0)])
 
@@ -227,15 +231,16 @@ class TestShortestPath:
         assert shortest_weighted_path(fig1, unit_weights(fig1), 0, 1) == (0,)
 
     def test_loaded_direct_link_diverts(self, fig1):
-        weights = unit_weights(fig1)
+        weights = list(unit_weights(fig1).values)
         weights[0] = 4
-        assert shortest_weighted_path(fig1, weights, 0, 1) == (2, 4)
+        assert shortest_weighted_path(fig1, check_weights(fig1, weights), 0, 1) == (2, 4)
 
     @pytest.mark.parametrize("weight", [1, 500])
     def test_unreachable(self, weight):
         net = Network(3, [Link(0, 0, 1, 100, 25)])
-        assert shortest_weighted_path(net, [weight], 0, 2) is None
-        assert shortest_weighted_path(Network(2, []), [], 0, 1) is None
+        assert shortest_weighted_path(net, check_weights(net, [weight]), 0, 2) is None
+        empty = Network(2, [])
+        assert shortest_weighted_path(empty, check_weights(empty, []), 0, 1) is None
 
     def test_same_node_rejected(self, fig1):
         with pytest.raises(NetworkError):
@@ -243,37 +248,32 @@ class TestShortestPath:
 
     def test_list_weights(self, fig1):
         weights = [1] * len(fig1.links)
-        assert shortest_weighted_path(fig1, weights, 0, 1) == (0,)
+        assert shortest_weighted_path(fig1, check_weights(fig1, weights), 0, 1) == (0,)
         weights[0] = 4
-        assert shortest_weighted_path(fig1, weights, 0, 1) == (2, 4)
+        assert shortest_weighted_path(fig1, check_weights(fig1, weights), 0, 1) == (2, 4)
 
-    def test_short_list_rejected(self, fig1):
-        with pytest.raises(NetworkError, match="missing for link 11"):
-            shortest_weighted_path(fig1, [1] * 11, 0, 1)
-
-    def test_long_list_rejected(self, fig1):
-        with pytest.raises(NetworkError, match="13 weights for 12 links"):
-            shortest_weighted_path(fig1, [1] * 13, 0, 1)
-
-    @pytest.mark.parametrize("floor", [1, 500])
-    def test_zero_weight_in_list_rejected(self, fig1, floor):
-        weights = [floor] * 12
-        weights[5] = 0
-        with pytest.raises(NetworkError, match="link 5 must be >= 1"):
+    @pytest.mark.parametrize("weights", [[1] * 12, (1,) * 12, {e: 1 for e in range(12)}])
+    def test_plain_sequence_rejected(self, fig1, weights):
+        with pytest.raises(TypeError, match="weights must be a Weights value"):
             shortest_weighted_path(fig1, weights, 0, 1)
+
+    def test_two_weights_are_not_taken_for_values_and_floor(self):
+        two = Network(2, [Link(0, 0, 1, 100, 25), Link(1, 1, 0, 100, 25)])
+        with pytest.raises(TypeError, match="got list$"):
+            shortest_weighted_path(two, [1, 1], 0, 1)
 
     def test_deterministic_tie_break(self):
         net = full_topology(4)
-        weights = unit_weights(net)
+        weights = list(unit_weights(net).values)
         # all two-hop 0->x->3 paths cost 2 with direct cost raised to 3;
         # lexicographically smallest node sequence goes through node 1
         for link in net.links:
             if link.src == 0 and link.dst == 3:
                 weights[link.id] = 3
-        path = shortest_weighted_path(net, weights, 0, 3)
+        path = shortest_weighted_path(net, check_weights(net, weights), 0, 3)
         first = net.link(path[0])
         assert first.dst == 1
-        assert path == shortest_weighted_path(net, weights, 0, 3)
+        assert path == shortest_weighted_path(net, check_weights(net, weights), 0, 3)
 
     def test_matches_brute_force(self):
         rng = random.Random(42)
@@ -288,7 +288,7 @@ class TestShortestPath:
             weights = [rng.randint(1, 9) for l in net.links]
             src, dst = rng.sample(range(n), 2)
             expected = brute_force_shortest(net, weights, src, dst)
-            assert shortest_weighted_path(net, weights, src, dst) == expected
+            assert shortest_weighted_path(net, check_weights(net, weights), src, dst) == expected
 
 
 @st.composite
@@ -322,13 +322,55 @@ def test_shortest_path_matches_brute_force(case):
         for dst in range(net.n_nodes):
             if src != dst:
                 expected = brute_force_shortest(net, weights, src, dst)
-                assert shortest_weighted_path(net, weights, src, dst) == expected, (src, dst)
+                assert shortest_weighted_path(net, check_weights(net, weights), src, dst) == expected, (src, dst)
+
+
+@settings(max_examples=100, deadline=None)
+@given(routing_cases())
+def test_a_looser_floor_changes_no_path(case):
+    """Every floor k in 1..min(v) routes every pair as the exact floor
+    does: the stop at d + k >= dist[src] is exact for any k at or below
+    every weight, and a lower k only settles more nodes. The planner and
+    the simulator rely on it when they keep the floor a bound."""
+    net, values = case
+    exact = check_weights(net, values)
+    for src in range(net.n_nodes):
+        for dst in range(net.n_nodes):
+            if src != dst:
+                expected = shortest_weighted_path(net, exact, src, dst)
+                for k in range(1, exact.lo + 1):
+                    assert shortest_weighted_path(net, Weights(values, k), src, dst) == expected, (src, dst, k)
+
+
+class TestCheckWeights:
+    def test_short_list_rejected(self, fig1):
+        with pytest.raises(NetworkError, match="missing for link 11"):
+            check_weights(fig1, [1] * 11)
+
+    def test_long_list_rejected(self, fig1):
+        with pytest.raises(NetworkError, match="13 weights for 12 links"):
+            check_weights(fig1, [1] * 13)
+
+    @pytest.mark.parametrize("floor", [1, 500])
+    def test_zero_weight_in_list_rejected(self, fig1, floor):
+        weights = [floor] * 12
+        weights[5] = 0
+        with pytest.raises(NetworkError, match="link 5 must be >= 1"):
+            check_weights(fig1, weights)
+
+    def test_floor_is_the_smallest_weight(self, fig1):
+        weights = [7] * 12
+        weights[3] = 2
+        assert check_weights(fig1, weights) == Weights(weights, 2)
+        assert unit_weights(fig1) == Weights([1] * 12, 1)
+        assert check_weights(Network(2, []), []) == Weights([], 0)
 
 
 def _assert_matches_reference(net, weights, pairs):
+    checked = check_weights(net, weights)
     for src, dst in pairs:
         expected = reference_shortest(net, weights, src, dst)
-        assert shortest_weighted_path(net, weights, src, dst) == expected, (src, dst)
+        assert shortest_weighted_path(net, checked, src, dst) == expected, (src, dst)
 
 
 @pytest.mark.parametrize("n", [20, 25, 30])
@@ -458,6 +500,14 @@ class TestSerialization:
         path.write_text("# two nodes\nnodes 2  # header\nlink 0 0 1 100.0 25.0 # forward\nlink 1 1 0 100.0 25.0\n")
         loaded = load_network(str(path))
         assert (loaded.n_nodes, loaded.links) == (2, full_topology(2).links)
+
+    def test_lines_are_utf8_and_a_bad_byte_is_refused_on_its_line(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"# caf\xc3\xa9\r\nnodes 2 # \xe2\x82\xac\r\nlink 0 0 1 100.0 25.0 # \xc3\n")
+        lines = read_lines(str(path))
+        assert next(lines) == (2, "nodes 2")
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:3: byte 0xc3 is not UTF-8$"):
+            next(lines)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "nohdr.txt"

@@ -15,6 +15,7 @@ from evoroute.netmodel import (
     Link,
     Network,
     NetworkError,
+    check_weights,
     full_topology,
     link_utilizations,
     mnp_topology,
@@ -32,6 +33,7 @@ from evoroute.planner import (
     link_inputs,
     link_weights,
     normalize,
+    reweigh,
     tournament_select,
 )
 
@@ -202,7 +204,7 @@ def reference_surrogate(network, keep_flows, bad_flows, bandwidths, expr, thresh
     rerouted = []
     for f in bad_flows:
         src, dst = network.path_endpoints(f.path)
-        path = shortest_weighted_path(network, weights, src, dst) or f.path
+        path = shortest_weighted_path(network, check_weights(network, weights), src, dst) or f.path
         for e in path:
             link = network.link(e)
             util[e] += bandwidths[f.request] / link.bw
@@ -235,6 +237,24 @@ class TestSurrogateStopsAfterLastPath:
         assert compute_surrogate(network, bad, bandwidths, inputs, expr, 0.8) == reference_surrogate(
             network, keep, bad, bandwidths, expr, 0.8
         )
+
+    def test_floor_follows_a_refreshed_weight_below_it(self):
+        # weights fall as links load: placing flow 0 on 0->2 takes that
+        # link's weight from 50 to 5, below the floor of 30, so flow 1's
+        # route 0->2->1 (5 + 30) beats the direct link (55) only when the
+        # floor follows the weight down; a floor left at 30 stops the route
+        # as it settles node 2, at 30 + 30 >= 55
+        net = Network(
+            3,
+            [Link(0, 0, 1, 100.0, 55.0), Link(1, 0, 2, 100.0, 50.0), Link(2, 2, 1, 100.0, 30.0)]
+            + [Link(3 + i, s, d, 100.0, 60.0) for i, (s, d) in enumerate([(1, 0), (1, 2), (2, 0)])],
+        )
+        bad = [Flow(0, (1,)), Flow(1, (0,))]
+        bandwidths = {0: 90.0, 1: 10.0}
+        expr = parse_expr("(dl * (1.0 - util))")
+        got = compute_surrogate(net, bad, bandwidths, kept_inputs(net, [], bandwidths), expr, 0.8)
+        assert got == [Flow(0, (1,)), Flow(1, (1, 2))]
+        assert got == reference_surrogate(net, [], bad, bandwidths, expr, 0.8)
 
     @pytest.mark.parametrize("n_bad", [1, 2, 3])
     def test_no_evaluation_after_last_route(self, fig1, example_expr, monkeypatch, n_bad):
@@ -427,11 +447,27 @@ class TestLinkWeights:
             return weigh(*key)
 
         got = link_weights(link_inputs(net, loaded), recording)
-        assert got == reference_weights(net, util, expr, 0.8)
-        assert all(type(w) is int for w in got)
+        assert got.values == reference_weights(net, util, expr, 0.8)
+        assert all(type(w) is int for w in got.values)
+        assert got.lo == min(got.values, default=0)
         # each input some link has is weighed once, and no other input is
         inputs = {(link.bw, link.dl, util[link.id]) for link in net.links}
         assert sorted(weighed) == sorted(inputs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_networks(), st.data(), st.integers(min_value=0, max_value=10**9), st.integers(1, 6))
+    def test_reweigh_equals_a_fresh_weighing(self, net_util, data, seed, max_depth):
+        # a second map where each link keeps its utilization or takes a new
+        # one: loaded links fall idle, idle ones load, and loads change
+        net, util = net_util
+        changes = data.draw(st.lists(st.sampled_from([None, 0.0, 0.3, 1.5]), min_size=len(util), max_size=len(util)))
+        later = [u if c is None else c for u, c in zip(util, changes)]
+        before = {e: u for e, u in enumerate(util) if u}
+        after = {e: u for e, u in enumerate(later) if u}
+        weigh = formula_weigher(grow_random(max_depth, random.Random(seed)), 0.8)
+        got = reweigh(net, link_weights(link_inputs(net, before), weigh), before, after, weigh)
+        assert got.values == link_weights(link_inputs(net, after), weigh).values
+        assert 1 <= got.lo <= min(got.values)
 
     def test_one_evaluation_per_distinct_input(self, example_expr, monkeypatch):
         inputs = []

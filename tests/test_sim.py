@@ -1,4 +1,5 @@
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,11 +15,14 @@ from evoroute.netmodel import (
     Network,
     Request,
     Snapshot,
+    Weights,
+    check_weights,
     full_topology,
+    link_utilizations,
     mnp_topology,
     unit_weights,
 )
-from evoroute.planner import GpConfig, Individual, formula_weigher
+from evoroute.planner import GpConfig, Individual, formula_weigher, link_inputs, link_weights
 from evoroute.sim import (
     MetricsRecord,
     Scenario,
@@ -48,7 +52,7 @@ def reference_run(scenario, seed, router, kb):
     gp = scenario.gp
     adaptive = router in ("genadapt", "genadapt-reuse")
     static = inverse_bw_weights(network) if router == "inverse-bw-ospf" else unit_weights(network)
-    baseline = [static[link.id] for link in network.links]
+    baseline = [static.values[link.id] for link in network.links]
     rng = Random(seed)
     state = AdaptationState(retained=list(kb))
     installed = None  # the last plan's formula; None routes under the baseline
@@ -67,7 +71,7 @@ def reference_run(scenario, seed, router, kb):
                 thr = dense_throughputs(network, flows.values(), bandwidths)
                 weigh = formula_weigher(installed, gp.threshold)
                 weights = [weigh(link.bw, link.dl, x / link.bw) for x, link in zip(thr, network.links)]
-            flows[req.id] = route_request(network, weights, req)
+            flows[req.id] = route_request(network, check_weights(network, weights), req)
         thr = dense_throughputs(network, flows.values(), bandwidths)
         util = [x / bw for x, bw in zip(thr, network.bws)]
         max_util = max(util, default=0.0)
@@ -193,6 +197,90 @@ def test_demand_adds_in_scenario_order_not_arrival_order():
     assert result.metrics.packet_loss_proxy == metrics.packet_loss_proxy > 0
 
 
+@st.composite
+def arrival_scenarios(draw):
+    """A complete graph of 3-5 nodes with mixed link bandwidths. Two requests
+    of 40-80 Mbps arrive at 0 on one pair, which mostly congests it, so the
+    run plans early; then 2-10 requests of 1-30 Mbps arrive between ticks 1
+    and 10, several per tick. Any request may drop to 0 Mbps within three
+    ticks of its arrival, leaving its links idle."""
+    n = draw(st.integers(3, 5))
+    pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+    bws = draw(st.lists(st.sampled_from([60.0, 100.0, 150.0]), min_size=len(pairs), max_size=len(pairs)))
+    network = Network(n, [Link(i, s, d, bw, 25.0) for i, ((s, d), bw) in enumerate(zip(pairs, bws))])
+    hot = draw(st.sampled_from(pairs))
+    requests = []
+    for rid in range(2 + draw(st.integers(2, 10))):
+        if rid < 2:
+            (s, d), arrival, bd = hot, 0.0, draw(st.floats(40.0, 80.0))
+        else:
+            (s, d), arrival, bd = draw(st.sampled_from(pairs)), draw(st.integers(4, 40)) / 4, draw(st.floats(1.0, 30.0))
+        profile = ((0.0, bd),)
+        if draw(st.booleans()):
+            profile += ((arrival + draw(st.integers(1, 12)) / 4, 0.0),)
+        requests.append(Request(rid, s, d, arrival, profile))
+    gp = GpConfig(population_size=6, tournament_size=3, max_generations=2, max_depth=5)
+    return Scenario(network, requests, duration=12, gp=gp)
+
+
+# At seed 2, one plan, on tick 0, where requests 0 and 1 load link 0 to 1.0;
+# its install weighs the idle network; then arrivals under its formula: one on
+# tick 1, which reweighs the links the plan's flows load, and two on tick 3,
+# after request 0 dropped to 0 Mbps on tick 2, which reweigh the links it left
+# idle and those request 3 loaded.
+_ARRIVALS_AFTER_A_PLAN = Scenario(
+    mnp_topology(3),
+    [
+        Request(0, 0, 1, 0.0, ((0.0, 50.0), (2.0, 0.0))),
+        Request.constant(1, 0, 1, 0.0, 50.0),
+        Request.constant(2, 0, 1, 1.0, 20.0),
+        Request.constant(3, 0, 1, 3.0, 20.0),
+        Request.constant(4, 0, 1, 3.0, 20.0),
+    ],
+    duration=5,
+    gp=GpConfig(population_size=6, tournament_size=3, max_generations=2, max_depth=5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrival_scenarios(), st.integers(0, 3))
+@example(_ARRIVALS_AFTER_A_PLAN, 2)
+def test_kept_weights_equal_a_fresh_weighing(scenario, seed):
+    """Every arrival under an installed formula is routed on the weights a
+    fresh ``link_weights`` gives the utilization of that moment, though the
+    run reweighs only the links changed since the install weighed the idle
+    network, and on a floor at or below every weight. The flows of the moment are followed as the
+    run builds them: a plan's flows replace them, and each arrival's flow is
+    appended; the demands are the run's own map, which ``adapt_step`` sees."""
+    network, threshold = scenario.network, scenario.gp.threshold
+    real_route, real_adapt = sim.route_request, sim.adapt_step
+    flows = {}
+    installed = {}  # the installed formula's weigher and the run's demand map
+    checked = []
+
+    def adapt(*args):
+        plan = real_adapt(*args)
+        installed.update(weigh=formula_weigher(plan.best.expr, threshold), bandwidths=args[3])
+        flows.clear()
+        flows.update((f.request, f) for f in plan.new_flows)
+        return plan
+
+    def route(net, weights, request):
+        if installed:
+            util = link_utilizations(network, list(flows.values()), installed["bandwidths"])
+            assert weights.values == link_weights(link_inputs(network, util), installed["weigh"]).values
+            assert 1 <= weights.lo <= min(weights.values)
+            checked.append(request.id)
+        flows[request.id] = flow = real_route(net, weights, request)
+        return flow
+
+    with mock.patch.object(sim, "route_request", route), mock.patch.object(sim, "adapt_step", adapt):
+        result = run_scenario(scenario, seed=seed, router="genadapt")
+    assert result.flows == flows
+    if scenario is _ARRIVALS_AFTER_A_PLAN:
+        assert checked == [2, 3, 4] and result.metrics.planner_invocations == 1
+
+
 @pytest.fixture
 def fig1_scenario():
     return load_scenario(scenario_path("fig1"))
@@ -220,18 +308,18 @@ class TestInverseBwWeights:
     def test_uniform_hundreds(self):
         net = full_topology(3, bw=100.0)
         weights = inverse_bw_weights(net)
-        assert set(weights) == {1000}
+        assert set(weights.values) == {1000} and weights.lo == 1000
 
     def test_inverse_proportionality(self):
         from evoroute.netmodel import Link, Network
 
         net = Network(2, [Link(0, 0, 1, 100.0, 25.0), Link(1, 1, 0, 50.0, 25.0)])
         weights = inverse_bw_weights(net)
-        assert weights == [1000, 2000]
+        assert weights == Weights([1000, 2000], 1000)
 
     def test_huge_bandwidth_clamps(self):
         net = full_topology(2, bw=2e5)
-        assert set(inverse_bw_weights(net)) == {1}
+        assert inverse_bw_weights(net) == Weights([1, 1], 1)
 
 
 class TestPacketLoss:
