@@ -25,17 +25,22 @@ from .sim import (
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
+MAX_SEEDS = 100_000  # the most values a comma list may hold; only --seeds can reach it
 
 
 def _parse_list(text: str, what: str, parse_chunk) -> list:
     """A comma list of ``what``: each non-blank chunk parsed to its values
-    by ``parse_chunk``; the whole must be non-empty and duplicate-free."""
+    by ``parse_chunk``, a range or tuple counted before it is expanded; the
+    whole must be non-empty, duplicate-free and at most ``MAX_SEEDS`` long."""
     rule = f"{what}: list must be non-empty and duplicate-free"
     values: dict = {}  # ordered like the text; a set would lose the order
     for chunk in map(str.strip, text.split(",")):
         if not chunk:
             continue
-        for value in parse_chunk(chunk):
+        chunk_values = parse_chunk(chunk)
+        if (n := len(values) + len(chunk_values)) > MAX_SEEDS:
+            raise ScenarioError(f"{what}: {chunk!r} would make {n} {what}, more than {MAX_SEEDS}")
+        for value in chunk_values:
             if value in values:
                 raise ScenarioError(f"{rule}, but {chunk!r} repeats {value!r}")
             values[value] = None

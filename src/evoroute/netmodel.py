@@ -358,6 +358,8 @@ def shortest_weighted_path(
 
 # the most links a generated topology may have, checked before any is built
 MAX_LINKS = 100_000
+# the most nodes a network file may declare, checked on its nodes line
+MAX_NODES = 100_000
 
 
 def _check_links(kind: str, size: int, n_links: int) -> None:
@@ -452,6 +454,8 @@ def load_network(path: str) -> Network:
                 if nodes_line is not None:
                     raise NetworkError(f"nodes already set on line {nodes_line}")
                 n_nodes, nodes_line = int(parts[1]), lineno
+                if n_nodes > MAX_NODES:
+                    raise NetworkError(f"nodes must be at most {MAX_NODES}, got {n_nodes}")
             elif parts[0] == "link" and len(parts) == 6:
                 links.append(
                     Link(int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]), float(parts[5]))

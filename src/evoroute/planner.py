@@ -1,7 +1,7 @@
 """Congestion planner: bad-flow selection, surrogate re-routing, the
 three-part fitness, and the generational search over weight formulas."""
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import starmap
 from operator import attrgetter
 from random import Random
@@ -174,21 +174,19 @@ def link_weights(table: LinkInputs, weigh: Weigher) -> Weights:
 
 
 def reweigh(
-    network: Network, weights: Weights, weighed: Mapping[int, float], util: Mapping[int, float], weigh: Weigher
+    network: Network, weights: Weights, links: Iterable[int], util: Mapping[int, float], weigh: Weigher
 ) -> Weights:
-    """``weights``, weighed on the utilization map ``weighed``, brought to
-    ``util``: only the links whose utilization differs are weighed again, in
-    place, and the floor is lowered to any new weight below it. Exact, since
-    a weight is a function of the link's (bw, dl, util) alone; a link absent
-    from a map is idle in it."""
+    """The one in-place weight refresh: each of ``links`` is weighed again at
+    its utilization in ``util`` (a link absent from it is idle), and the
+    floor is lowered to any new weight below it. Exact when ``links`` holds
+    every link whose utilization changed since ``weights`` was weighed, since
+    a weight is a function of the link's (bw, dl, util) alone."""
     values, lo = weights
-    bws, dls = network.bws, network.dls
-    for e in weighed.keys() | util.keys():
-        u = util.get(e, 0.0)
-        if u != weighed.get(e, 0.0):
-            w = values[e] = weigh(bws[e], dls[e], u)
-            if w < lo:
-                lo = w
+    bws, dls, get = network.bws, network.dls, util.get
+    for e in links:
+        w = values[e] = weigh(bws[e], dls[e], get(e, 0.0))
+        if w < lo:
+            lo = w
     return Weights(values, lo)
 
 
@@ -204,17 +202,13 @@ def compute_surrogate(
     returns the re-routed flows, in ``bad_flows`` order.
 
     Utilization starts from the kept flows only: ``keep`` holds their link
-    inputs, and is not changed. After each placement but the last the
-    weights of the links on the new path are refreshed, and the floor is
-    lowered to any refreshed weight below it, so that it stays at or below
-    every weight.
+    inputs, and is not changed. After each placement but the last, the
+    placed flow's load is added along its path and ``reweigh`` refreshes
+    those links.
     """
     util = dict(keep.util)
-    get = util.get
     weigh = formula_weigher(expr, threshold)
     weights = link_weights(keep, weigh)
-    values, lo = weights
-    bws, dls = network.bws, network.dls
     rerouted: list[Flow] = []
     for f in bad_flows:
         src, dst = network.path_endpoints(f.path)
@@ -224,12 +218,8 @@ def compute_surrogate(
             break  # nothing is routed after the last flow: its load goes unweighed
         bd = bandwidths[f.request]
         for e in path:
-            bw = bws[e]
-            u = util[e] = get(e, 0.0) + bd / bw
-            w = values[e] = weigh(bw, dls[e], u)
-            if w < lo:
-                lo = w
-                weights = Weights(values, lo)
+            util[e] = util.get(e, 0.0) + bd / network.bws[e]
+        weights = reweigh(network, weights, path, util, weigh)
     return rerouted
 
 
@@ -255,9 +245,7 @@ def evaluate_plan(
     fit1 = max(util.values(), default=0.0)
     if fit1 >= threshold:
         return normalize(fit1) + 2.0
-    fit2 = sum(
-        lcs_distance(old_by_req[r].path, new_by_req[r].path) for r in old_by_req
-    )
+    fit2 = sum(lcs_distance(old_by_req[r].path, new_by_req[r].path) for r in old_by_req)
     dls = network.dls
     fit3 = sum(dls[e] for f in new_flows for e in f.path)
     return normalize(fit2) + normalize(fit3)
@@ -336,9 +324,7 @@ def gen_plan(
     def assess(expr: Expr) -> Individual:
         hit = scored.get(expr)
         if hit is None:
-            rerouted = compute_surrogate(
-                network, bad_flows, bandwidths, keep, expr, config.threshold
-            )
+            rerouted = compute_surrogate(network, bad_flows, bandwidths, keep, expr, config.threshold)
             plan = tuple(f.path for f in rerouted)
             fitness = plans.get(plan)
             if fitness is None:

@@ -140,9 +140,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None, router: str | None
     baseline = inverse_bw_weights(network) if router == "inverse-bw-ospf" else unit_weights(network)
     weigh = None  # the installed formula's memoised weigher; None routes under the baseline
     # the weights arrivals route under, and the utilization map the installed
-    # formula's weights were last weighed on: an install weighs the idle
-    # network, and each arrival reweighs only the links whose utilization
-    # changed since
+    # formula's weights were last weighed on (an install weighs the idle network)
     weights, weighed = baseline, {}
 
     rng = Random(seed)
@@ -178,11 +176,13 @@ def run_scenario(scenario: Scenario, seed: int | None = None, router: str | None
             if changed:
                 snapshot = None
 
-        # admit arrivals, routing each under the weights of the moment
+        # admit arrivals, routing each under the weights of the moment: only
+        # the links whose utilization changed since the last weighing are weighed again
         for req in arrived:
             if weigh is not None:
                 util = snapshot.util if snapshot else link_utilizations(network, list(flows.values()), bandwidths)
-                weights, weighed = reweigh(network, weights, weighed, util, weigh), util
+                stale = [e for e in weighed.keys() | util.keys() if util.get(e, 0.0) != weighed.get(e, 0.0)]
+                weights, weighed = reweigh(network, weights, stale, util, weigh), util
             flows[req.id] = route_request(network, weights, req)
             snapshot = None
 
@@ -276,7 +276,7 @@ def _finite_positive(value: float) -> bool:
 
 # the most ticks a run may last and the most requests a scenario may hold,
 # bursts expanded; a line that would ask for more is refused before anything
-# is built for it (generated topologies: ``netmodel.MAX_LINKS``)
+# is built for it (networks: ``netmodel.MAX_LINKS``, ``netmodel.MAX_NODES``)
 MAX_TICKS = 100_000
 MAX_REQUESTS = 100_000
 
@@ -328,8 +328,9 @@ def load_scenario(path: str) -> Scenario:
     not exceed the last arrival's tick (``ceil(arrival)``), so that no tick
     would admit that request. So are sizes past the bounds: a run longer
     than ``MAX_TICKS`` (naming the ``duration`` line, or without one the
-    request with the last arrival), more than ``MAX_REQUESTS`` requests, and
-    a generated network of more than ``netmodel.MAX_LINKS`` links.
+    request with the last arrival), more than ``MAX_REQUESTS`` requests, a
+    generated network of more than ``netmodel.MAX_LINKS`` links, and a
+    network file of more than ``netmodel.MAX_NODES`` nodes.
     """
     base = os.path.dirname(os.path.abspath(path))
     net_spec: tuple | None = None

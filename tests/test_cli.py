@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -537,6 +538,36 @@ class TestSizeBounds:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_network_file_past_the_node_bound_exits_one(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "big.net").write_text("nodes 100001\nlink 0 0 1 100 25\nlink 1 1 0 100 25\n")
+        path = tmp_path / "big.scenario"
+        path.write_text("network file big.net\nrequest 0 1 0 30\n")
+        monkeypatch.setattr(cli, "run_scenario", None)  # refused at load: any run would fail
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        message = f"network: line 1: {tmp_path / 'big.net'}:1: nodes must be at most 100000, got 100001"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [
+            ("0-1000000000", "'0-1000000000' would make 1000000001 seeds"),
+            ("0-100000", "'0-100000' would make 100001 seeds"),
+            ("0-99999,100000", "'100000' would make 100001 seeds"),
+        ],
+        ids=["huge", "past", "past-over-chunks"],
+    )
+    def test_compare_past_the_seed_bound_exits_one(self, tmp_path, capsys, monkeypatch, seeds, message):
+        # the range is measured from its ends: expanding the huge one would fill a dict of 10^9 seeds
+        monkeypatch.setattr(cli, "run_scenario", None)  # refused before any run
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenario", scenario_path("fig1"), "--out", str(out), "--seeds", seeds]) == 1
+        assert capsys.readouterr().err == f"error: seeds: {message}, more than 100000\n"
+        assert not out.exists()
+
+    def test_seed_list_at_the_bound_parses(self):
+        assert cli._parse_list("0-99998,99999", "seeds", cli._seed_chunk) == list(range(cli.MAX_SEEDS)) == list(range(100000))
+
     @pytest.mark.parametrize("kind, links", [("full", 9999900000), ("mnp", 10000100000)])
     def test_gen_topology_past_the_link_bound_exits_one(self, tmp_path, capsys, kind, links):
         out = tmp_path / "net.txt"
@@ -730,6 +761,66 @@ def test_import_of_any_kb_text_exits_zero_or_one_naming_the_line(fuzz_kb, lines)
     assert code in (0, 1), err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error: line "), err.getvalue()
+
+
+# Scenario file text: a bundled scenario with lines mutated, dropped, repeated
+# or added, after a first line that caps the generations at 3 so that a run
+# stays short (the bundled max_generations line is left out). The tokens are
+# numbers from a small set (non-finite and out-of-range ones among them, none
+# large enough to make a long run), garbage, and bytes that are not UTF-8; the
+# added lines are GP directives, kb, router and network lines, and garbage.
+_SCENARIO_BASES = {
+    name: [line for line in Path(scenario_path(name)).read_bytes().splitlines() if b"max_generations" not in line]
+    for name in ("fig1", "full5_3", "mnp3_2", "mnp5_2")
+}
+_SCENARIO_TOKENS = st.sampled_from(
+    [b"0", b"1", b"2", b"3", b"-1", b"0.5", b"1.5", b"nan", b"inf", b"-inf", b"1e400", b"1e-300", b"0:2,1:0", b"x",
+     b"genadapt-reuse", b"#", b"\xff", b"caf\xe9", b""]
+)
+_SCENARIO_LINES = st.sampled_from(
+    [b"population 2", b"max_generations 1", b"tournament 0", b"max_depth 16", b"crossover_rate nan",
+     b"mutation_rate 2", b"early_stop inf", b"kb fuzz.kb", b"kb missing.kb", b"router genadapt-reuse",
+     b"network full 3", b"network file fuzz.net", b"network file missing.net", b"link_bw 50", b"duration 2",
+     b"request 0 1 0 90", b"burst", b"bogus 1", b"\xff\xfe", b"# comment", b""]
+)
+
+
+@st.composite
+def _scenario_texts(draw):
+    lines = list(_SCENARIO_BASES[draw(st.sampled_from(sorted(_SCENARIO_BASES)))])
+    for _ in range(draw(st.integers(1, 3))):
+        kind, at = draw(st.integers(0, 3)), draw(st.integers(0, len(lines)))
+        if kind == 0 and at < len(lines):  # one token replaced
+            parts = lines[at].split()
+            if parts:
+                parts[draw(st.integers(0, len(parts) - 1))] = draw(_SCENARIO_TOKENS)
+                lines[at] = b" ".join(parts)
+        elif kind == 1 and at < len(lines):
+            del lines[at]
+        elif kind == 2 and at < len(lines):
+            lines.insert(at, lines[at])
+        else:
+            lines.insert(at, draw(_SCENARIO_LINES))
+    return b"\n".join([b"max_generations 3", *lines, b""])
+
+
+@pytest.fixture(scope="module")
+def fuzz_scenario_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "fuzz.kb").write_text("0.5 (util * bw)\n")
+    (path / "fuzz.net").write_text("nodes 2\nlink 0 0 1 100 25\nlink 1 1 0 100 25\n")
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scenario_texts())
+def test_run_of_any_scenario_text_exits_zero_or_one(fuzz_scenario_dir, text):
+    path = fuzz_scenario_dir / "fuzz.scenario"
+    path.write_bytes(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", "--scenario", str(path), "--out", str(fuzz_scenario_dir / "out")])
+    assert code in (0, 1), err.getvalue()
 
 
 class TestCompare:

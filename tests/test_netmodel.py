@@ -12,6 +12,7 @@ from evoroute.netmodel import (
     ConfigError,
     Flow,
     InputError,
+    MAX_NODES,
     Link,
     Network,
     NetworkError,
@@ -508,6 +509,14 @@ class TestSerialization:
         assert next(lines) == (2, "nodes 2")
         with pytest.raises(InputError, match=f"^{re.escape(str(path))}:3: byte 0xc3 is not UTF-8$"):
             next(lines)
+
+    def test_nodes_past_the_bound_is_refused_on_its_line(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("nodes 100001\nlink 0 0 1 100.0 25.0\n")
+        with pytest.raises(NetworkError, match=f"^{re.escape(str(path))}:1: nodes must be at most 100000, got 100001$"):
+            load_network(str(path))
+        path.write_text("nodes 100000\nlink 0 0 1 100.0 25.0\n")
+        assert MAX_NODES == load_network(str(path)).n_nodes == 100000
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "nohdr.txt"

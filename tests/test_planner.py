@@ -458,14 +458,18 @@ class TestLinkWeights:
     @given(weighted_networks(), st.data(), st.integers(min_value=0, max_value=10**9), st.integers(1, 6))
     def test_reweigh_equals_a_fresh_weighing(self, net_util, data, seed, max_depth):
         # a second map where each link keeps its utilization or takes a new
-        # one: loaded links fall idle, idle ones load, and loads change
+        # one: loaded links fall idle, idle ones load, and loads change; the
+        # links weighed again are every changed link and any unchanged ones
         net, util = net_util
         changes = data.draw(st.lists(st.sampled_from([None, 0.0, 0.3, 1.5]), min_size=len(util), max_size=len(util)))
         later = [u if c is None else c for u, c in zip(util, changes)]
         before = {e: u for e, u in enumerate(util) if u}
         after = {e: u for e, u in enumerate(later) if u}
+        changed = {e for e, (u, v) in enumerate(zip(util, later)) if u != v}
+        extra = data.draw(st.lists(st.booleans(), min_size=len(util), max_size=len(util)))
+        links = data.draw(st.permutations([e for e, x in enumerate(extra) if x or e in changed]))
         weigh = formula_weigher(grow_random(max_depth, random.Random(seed)), 0.8)
-        got = reweigh(net, link_weights(link_inputs(net, before), weigh), before, after, weigh)
+        got = reweigh(net, link_weights(link_inputs(net, before), weigh), links, after, weigh)
         assert got.values == link_weights(link_inputs(net, after), weigh).values
         assert 1 <= got.lo <= min(got.values)
 
