@@ -177,6 +177,18 @@ def replace_subtree(expr: Expr, index: int, replacement: Expr) -> Expr:
     return BinOp(expr.op, left, replace_subtree(expr.right, index - 1 - left.size, replacement))
 
 
+def below(rng: Random, n: int) -> int:
+    """A uniform int in [0, n), n >= 1: one ``rng.getrandbits(n.bit_length())``
+    word per try, retried while it is n or more. This is the draw that
+    ``randrange(n)`` and ``choice`` make on CPython 3.10-3.13, taken without
+    their wrappers, so it leaves the stream as they would."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def grow_random(max_depth: int, rng: Random) -> Expr:
     """Random grammar-valid tree of depth <= max_depth (grow method).
 
@@ -186,11 +198,11 @@ def grow_random(max_depth: int, rng: Random) -> Expr:
     if max_depth < 1:
         raise ExprError(f"max_depth must be >= 1, got {max_depth}")
     if max_depth == 1 or rng.random() < 0.5:
-        kind = rng.randrange(5)
-        if kind == 0:
-            return Const(rng.uniform(CONST_MIN, CONST_MAX))
+        kind = below(rng, 5)
+        if kind == 0:  # rng.uniform's own expression
+            return Const(CONST_MIN + (CONST_MAX - CONST_MIN) * rng.random())
         return Var(VAR_NAMES[kind - 1])
-    op = OPS[rng.randrange(4)]
+    op = OPS[below(rng, 4)]
     left = grow_random(max_depth - 1, rng)
     right = grow_random(max_depth - 1, rng)
     return BinOp(op, left, right)
@@ -204,8 +216,8 @@ def crossover(
     A child whose depth would exceed max_depth is replaced by a copy of its
     parent (retry-free repair).
     """
-    ia = rng.randrange(a.size)
-    ib = rng.randrange(b.size)
+    ia = below(rng, a.size)
+    ib = below(rng, b.size)
     donor_a, _ = subtree(a, ia)
     donor_b, _ = subtree(b, ib)
     child_a = replace_subtree(a, ia, donor_b)
@@ -222,7 +234,7 @@ def mutate(expr: Expr, rng: Random, max_depth: int = DEFAULT_MAX_DEPTH) -> Expr:
     The replacement is grown with a depth budget that keeps the whole tree
     within max_depth.
     """
-    i = rng.randrange(expr.size)
+    i = below(rng, expr.size)
     _, level = subtree(expr, i)
     return replace_subtree(expr, i, grow_random(max(1, max_depth - level + 1), rng))
 

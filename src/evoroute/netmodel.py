@@ -88,8 +88,8 @@ class Request(_RequestFields):
             raise NetworkError(f"request {id}: arrival must be finite and >= 0, got {arrival}")
         if not profile:
             raise NetworkError(f"request {id}: empty bandwidth profile")
-        if not all(0 <= bd < math.inf for _, bd in profile):
-            raise NetworkError(f"request {id}: bandwidth must be finite and >= 0")
+        if not all(0 <= bd <= MAX_MBPS for _, bd in profile):
+            raise NetworkError(f"request {id}: bandwidth must be finite and >= 0, at most {MAX_MBPS:g} Mbps")
         starts = [start for start, _ in profile]
         if not all(math.isfinite(start) for start in starts):
             raise NetworkError(f"request {id}: profile start times must be finite")
@@ -360,6 +360,10 @@ def shortest_weighted_path(
 MAX_LINKS = 100_000
 # the most nodes a network file may declare, checked on its nodes line
 MAX_NODES = 100_000
+# the most a request may demand, checked by Request: a run's demand sums
+# stay finite under sim.MAX_REQUESTS * sim.MAX_TICKS * MAX_MBPS, and a
+# demand of 2**53 (where adding 1 is lost to rounding) is still allowed
+MAX_MBPS = 1e16
 
 
 def _check_links(kind: str, size: int, n_links: int) -> None:

@@ -11,6 +11,7 @@ from .expr import (
     DEFAULT_MAX_DEPTH,
     EvalContext,
     Expr,
+    below,
     crossover,
     eval_expr,
     grow_random,
@@ -104,7 +105,7 @@ def find_flows_causing_congestion(
         # a flow at 0 Mbps (a departed request keeps its path) loads nothing
         carriers = [f for f in remaining if worst in f.path and bandwidths[f.request] > 0]
         assert carriers, "a loaded link must carry at least one flow"
-        victim = carriers[rng.randrange(len(carriers))]
+        victim = carriers[below(rng, len(carriers))]
         remaining.remove(victim)
         removed.append(victim)
     return removed
@@ -162,14 +163,18 @@ def link_inputs(network: Network, util: Mapping[int, float]) -> LinkInputs:
 
 
 def link_weights(table: LinkInputs, weigh: Weigher) -> Weights:
-    """Every link's weight under a weigher: one weighing per distinct input.
+    """Every link's weight under a weigher: one weighing per distinct input."""
+    return spread(table, tuple(starmap(weigh, table.inputs)))
+
+
+def spread(table: LinkInputs, by_input: Sequence[int]) -> Weights:
+    """Every link's weight from the weights of ``table.inputs``, in order.
 
     The values are a fresh list indexed by link id. The floor is the
     smallest weight over the distinct inputs, which is the smallest link
-    weight, since some link has each input. The weigher must give integers
-    >= 1, as ``formula_weigher`` does.
+    weight, since some link has each input. The weights must be integers
+    >= 1, as ``formula_weigher`` gives.
     """
-    by_input = list(starmap(weigh, table.inputs))
     return Weights([by_input[i] for i in table.of], min(by_input) if by_input else 0)
 
 
@@ -197,29 +202,38 @@ def compute_surrogate(
     keep: LinkInputs,
     expr: Expr,
     threshold: float,
+    routes: dict[tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> list[Flow]:
     """Re-route the bad flows one by one under the candidate formula;
     returns the re-routed flows, in ``bad_flows`` order.
 
     Utilization starts from the kept flows only: ``keep`` holds their link
-    inputs, and is not changed. After each placement but the last, the
-    placed flow's load is added along its path and ``reweigh`` refreshes
-    those links.
+    inputs, and is not changed. The weights at ``keep.inputs`` fix every
+    link's weight and the floor, so the first flow's route: ``routes``, a
+    memo for one ``bad_flows`` and ``keep``, maps them to it. After each
+    placement but the last, the placed flow's load is added along its path
+    and ``reweigh`` refreshes those links.
     """
-    util = dict(keep.util)
+    if not bad_flows:
+        return []
     weigh = formula_weigher(expr, threshold)
-    weights = link_weights(keep, weigh)
-    rerouted: list[Flow] = []
-    for f in bad_flows:
-        src, dst = network.path_endpoints(f.path)
-        path = shortest_weighted_path(network, weights, src, dst)
-        rerouted.append(Flow(f.request, path))
-        if len(rerouted) == len(bad_flows):
-            break  # nothing is routed after the last flow: its load goes unweighed
-        bd = bandwidths[f.request]
+    by_input = tuple(starmap(weigh, keep.inputs))
+    routes = {} if routes is None else routes
+    path = routes.get(by_input)
+    if path is None or len(bad_flows) > 1:
+        weights = spread(keep, by_input)
+    if path is None:
+        path = shortest_weighted_path(network, weights, *network.path_endpoints(bad_flows[0].path))
+        routes[by_input] = path
+    util = dict(keep.util)
+    rerouted = [Flow(bad_flows[0].request, path)]
+    for placed, f in zip(bad_flows, bad_flows[1:]):
+        bd = bandwidths[placed.request]
         for e in path:
             util[e] = util.get(e, 0.0) + bd / network.bws[e]
         weights = reweigh(network, weights, path, util, weigh)
+        path = shortest_weighted_path(network, weights, *network.path_endpoints(f.path))
+        rerouted.append(Flow(f.request, path))
     return rerouted
 
 
@@ -252,16 +266,19 @@ def evaluate_plan(
 
 
 def tournament_select(population: Sequence[Individual], k: int, rng: Random) -> Individual:
-    """Draw k individuals with replacement; return the lowest-fitness one."""
-    if not population:
-        raise ValueError("tournament over an empty population")
-    if k < 1 or k > len(population):
-        raise ValueError(f"tournament size {k} invalid for population {len(population)}")
-    best = rng.choice(population)
-    for _ in range(k - 1):
-        challenger = rng.choice(population)
-        if challenger.fitness < best.fitness:
-            best = challenger
+    """Draw k individuals with replacement; return the first of the lowest
+    fitness. Each draw is ``expr.below``'s, inlined: k draws are those of k
+    ``rng.choice(population)`` calls."""
+    n = len(population)
+    if not 1 <= k <= n:  # an empty population fits no size
+        raise ValueError(f"tournament size {k} invalid for population {n}")
+    bits, draw, best = n.bit_length(), rng.getrandbits, None
+    for _ in range(k):
+        i = draw(bits)
+        while i >= n:
+            i = draw(bits)
+        if best is None or population[i].fitness < best.fitness:
+            best = population[i]
     return best
 
 
@@ -320,11 +337,14 @@ def gen_plan(
     # fixed for the call, so their paths alone decide the fitness.
     # Distinct formulas often make the same plan.
     plans: dict[tuple[tuple[int, ...], ...], float] = {}
+    # The first bad flow's route per weights at the kept inputs: distinct
+    # formulas often weigh those inputs alike (see compute_surrogate).
+    routes: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def assess(expr: Expr) -> Individual:
         hit = scored.get(expr)
         if hit is None:
-            rerouted = compute_surrogate(network, bad_flows, bandwidths, keep, expr, config.threshold)
+            rerouted = compute_surrogate(network, bad_flows, bandwidths, keep, expr, config.threshold, routes)
             plan = tuple(f.path for f in rerouted)
             fitness = plans.get(plan)
             if fitness is None:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import math
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,9 @@ class TestScenarioValidation:
             ("request 0 1 inf 30", "arrival must be finite and >= 0"),
             ("request 0 1 nan 30", "arrival must be finite and >= 0"),
             ("burst 0 1 2 2 5 inf", "bandwidth must be finite and >= 0"),
+            # past netmodel.MAX_MBPS the demand sums overflow, and the loss proxy read nan
+            ("request 0 1 0 1e308", "at most 1e+16 Mbps"),
+            ("request 0 1 0 0:30,5:2e16", "at most 1e+16 Mbps"),
             ("link_bw nan", "link_bw must be finite and > 0"),
             ("link_bw -5", "link_bw must be finite and > 0"),
             ("link_bw inf", "link_bw must be finite and > 0"),
@@ -295,6 +299,14 @@ class TestScenarioValidation:
         assert code == 1
         err = capsys.readouterr().err
         assert "line 2" in err and message in err
+
+    def test_demand_at_the_bound_keeps_the_loss_proxy_finite(self, tmp_path):
+        path = tmp_path / "huge.scenario"
+        request = f"request 0 1 0 {netmodel.MAX_MBPS!r}\n"
+        path.write_text("network mnp 3\n" + request * 2 + "duration 2\n")
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        (row,) = read_csv(tmp_path / "out" / "metrics.csv")
+        assert 0 < float(row["packet_loss_proxy"]) < math.inf
 
     @pytest.mark.parametrize(
         "network, message",

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from conftest import tree_of_height
 
 from evoroute.expr import (
+    CONST_MAX,
+    CONST_MIN,
     OPS,
     VAR_NAMES,
     BinOp,
@@ -22,6 +24,7 @@ from evoroute.expr import (
     ExprError,
     ParseError,
     Var,
+    below,
     crossover,
     eval_expr,
     format_expr,
@@ -104,6 +107,30 @@ class TestGrow:
                     assert 0.0 <= node.value <= 100.0
                 elif isinstance(node, BinOp):
                     stack.extend((node.left, node.right))
+
+
+class TestBelow:
+    """``below`` and the constant draw are the draws the GP made through
+    ``randrange``, ``choice`` and ``uniform``, word for word."""
+
+    SIZES = [*range(1, 301), 4097, 65536, 10**6]
+
+    def test_is_randrange_choice_and_uniform(self):
+        for seed in range(200):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for n in self.SIZES:
+                seq = range(n)
+                assert below(rng, n) == ref.randrange(n)
+                assert seq[below(rng, n)] == ref.choice(seq)
+                assert CONST_MIN + (CONST_MAX - CONST_MIN) * rng.random() == ref.uniform(0.0, 100.0)
+            assert rng.getstate() == ref.getstate()
+
+    def test_grow_draws_as_the_reference(self):
+        for seed in range(300):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for max_depth in (1, 2, 5, 15):
+                assert grow_random(max_depth, rng) == reference_grow(max_depth, ref)
+            assert rng.getstate() == ref.getstate()
 
 
 class TestCrossover:
@@ -201,10 +228,20 @@ def reference_crossover(a, b, rng, max_depth=15):
     return child_a, child_b
 
 
+def reference_grow(max_depth, rng):
+    """The grow method drawn through randrange and uniform."""
+    if max_depth == 1 or rng.random() < 0.5:
+        kind = rng.randrange(5)
+        return Const(rng.uniform(0.0, 100.0)) if kind == 0 else Var(VAR_NAMES[kind - 1])
+    op = OPS[rng.randrange(4)]
+    left = reference_grow(max_depth - 1, rng)
+    return BinOp(op, left, reference_grow(max_depth - 1, rng))
+
+
 def reference_mutate(expr, rng, max_depth=15):
     nodes = reference_nodes_with_levels(expr)
     i = rng.randrange(len(nodes))
-    replacement = grow_random(max(1, max_depth - nodes[i][1] + 1), rng)
+    replacement = reference_grow(max(1, max_depth - nodes[i][1] + 1), rng)
     return reference_replace_subtree(expr, i, replacement)
 
 

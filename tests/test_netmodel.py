@@ -12,6 +12,7 @@ from evoroute.netmodel import (
     ConfigError,
     Flow,
     InputError,
+    MAX_MBPS,
     MAX_NODES,
     Link,
     Network,
@@ -146,6 +147,10 @@ class TestBasics:
             (lambda: LINK._replace(bw=0.0), "link 0: bandwidth must be finite and > 0, got 0.0"),
             (lambda: LINK._replace(dl=nan), "link 0: delay must be finite and > 0, got nan"),
             (lambda: REQUEST._replace(profile=()), "request 0: empty bandwidth profile"),
+            (
+                lambda: REQUEST._replace(profile=((0.0, 30.0), (5.0, 2 * MAX_MBPS))),
+                "request 0: bandwidth must be finite and >= 0, at most 1e+16 Mbps",
+            ),
             (
                 lambda: Request._make((0, 0, 1, 0.0, ((5.0, 30.0), (0.0, 50.0)))),
                 "request 0: profile start times must be strictly increasing",

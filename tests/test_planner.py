@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import EXAMPLE_FORMULA, dense_throughputs
 
 from evoroute import planner
-from evoroute.expr import EvalContext, eval_expr, format_expr, grow_random, parse_expr, to_weight
+from evoroute.expr import Const, EvalContext, eval_expr, format_expr, grow_random, parse_expr, to_weight
 from evoroute.netmodel import (
     Flow,
     Link,
@@ -256,6 +256,35 @@ class TestSurrogateStopsAfterLastPath:
         assert got == [Flow(0, (1,)), Flow(1, (1, 2))]
         assert got == reference_surrogate(net, [], bad, bandwidths, expr, 0.8)
 
+    @settings(max_examples=200, deadline=None)
+    @given(surrogate_cases(), st.lists(st.one_of(st.none(), st.integers(0, 10**9)), min_size=2, max_size=8))
+    def test_formulas_sharing_one_memo_match_the_reference(self, case, seeds):
+        # small trees weigh the kept inputs alike often, and a repeated seed
+        # repeats its formula, so later formulas read routes from the memo
+        network, keep, bad, bandwidths, first = case
+        inputs = kept_inputs(network, keep, bandwidths)
+        routes = {}
+        for seed in seeds:
+            expr = first if seed is None else grow_random(1 + seed % 3, random.Random(seed % 50))
+            got = compute_surrogate(network, bad, bandwidths, inputs, expr, 0.8, routes)
+            assert got == reference_surrogate(network, keep, bad, bandwidths, expr, 0.8)
+
+    def test_formulas_that_weigh_alike_share_one_route(self, fig1, monkeypatch):
+        routed = []
+        real_route = planner.shortest_weighted_path
+
+        def counting_route(*args):
+            routed.append(args[2:])
+            return real_route(*args)
+
+        monkeypatch.setattr(planner, "shortest_weighted_path", counting_route)
+        keep, bad = [Flow(0, (0,))], [Flow(2, (0,))]
+        inputs, routes = kept_inputs(fig1, keep, BW3), {}
+        # both constants weigh every link 3: one key, whatever the load
+        got = [compute_surrogate(fig1, bad, BW3, inputs, Const(c), 0.8, routes) for c in (3.2, 3.9)]
+        assert got[0] == got[1] == [Flow(2, (0,))]
+        assert len(routed) == 1 and list(routes) == [(3, 3)]  # the idle links and link 0
+
     @pytest.mark.parametrize("n_bad", [1, 2, 3])
     def test_no_evaluation_after_last_route(self, fig1, example_expr, monkeypatch, n_bad):
         events = []
@@ -301,6 +330,25 @@ class TestTournament:
             tournament_select(pop, 7, random.Random(9)).fitness
             == tournament_select(pop, 7, random.Random(9)).fitness
         )
+
+    def test_draws_as_choice(self):
+        # the reference tournament, through rng.choice: the same individual
+        # (the first of the lowest fitness among the draws) and the same stream
+        def reference(population, k, rng):
+            best = rng.choice(population)
+            for _ in range(k - 1):
+                challenger = rng.choice(population)
+                if challenger.fitness < best.fitness:
+                    best = challenger
+            return best
+
+        for n in range(1, 34):
+            pop = [Individual(parse_expr("util"), fitness=float(i % 3)) for i in range(n)]
+            for seed in range(20):
+                rng, ref = random.Random(seed), random.Random(seed)
+                for k in range(1, n + 1):
+                    assert tournament_select(pop, k, rng) is reference(pop, k, ref)
+                assert rng.getstate() == ref.getstate()
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -554,9 +602,9 @@ class TestFitnessCache:
         calls = Counter()
         real = planner.compute_surrogate
 
-        def counting(network, bad, bandwidths, keep, expr, threshold):
+        def counting(network, bad, bandwidths, keep, expr, threshold, routes):
             calls[format_expr(expr)] += 1
-            return real(network, bad, bandwidths, keep, expr, threshold)
+            return real(network, bad, bandwidths, keep, expr, threshold, routes)
 
         monkeypatch.setattr(planner, "compute_surrogate", counting)
         # seed 2 searches for 19 generations, so parents recur
