@@ -7,16 +7,12 @@ import sys
 
 from .loop import KbImportError, export_kb, import_kb
 from .netmodel import TOPOLOGIES, ConfigError, InputError, NetworkError, save_network
+from .scenario import ROUTERS, ScenarioError, check_kb, load_scenario, with_kb
 from .sim import (
     METRICS_COLUMNS,
-    ROUTERS,
     MetricsRecord,
-    ScenarioError,
-    check_kb,
-    load_scenario,
     metrics_row,
     run_scenario,
-    with_kb,
     write_invocations_csv,
     write_metrics_csv,
     write_trace_csv,

@@ -48,10 +48,10 @@ class Link(_LinkFields):
         if src == dst:
             raise NetworkError(f"link {id}: self-loop on node {src}")
         # written so that NaN fails too
-        if not 0 < bw < math.inf:
-            raise NetworkError(f"link {id}: bandwidth must be finite and > 0, got {bw}")
-        if not 0 < dl < math.inf:
-            raise NetworkError(f"link {id}: delay must be finite and > 0, got {dl}")
+        if not MIN_MBPS <= bw < math.inf:
+            raise NetworkError(f"link {id}: bandwidth must be finite and > 0, at least {MIN_MBPS:g} Mbps, got {bw}")
+        if not 0 < dl <= MAX_MS:
+            raise NetworkError(f"link {id}: delay must be finite and > 0, at most {MAX_MS:g} ms, got {dl}")
         return tuple.__new__(cls, (id, src, dst, bw, dl))
 
     @classmethod
@@ -361,9 +361,20 @@ MAX_LINKS = 100_000
 # the most nodes a network file may declare, checked on its nodes line
 MAX_NODES = 100_000
 # the most a request may demand, checked by Request: a run's demand sums
-# stay finite under sim.MAX_REQUESTS * sim.MAX_TICKS * MAX_MBPS, and a
-# demand of 2**53 (where adding 1 is lost to rounding) is still allowed
+# stay finite under scenario.MAX_REQUESTS * scenario.MAX_TICKS * MAX_MBPS,
+# and a demand of 2**53 (where adding 1 is lost to rounding) is still allowed
 MAX_MBPS = 1e16
+# the least bandwidth and the most delay a link may have, checked by Link.
+# With at most 1e5 requests (scenario.MAX_REQUESTS) of at most 1e16 Mbps, a
+# link carries at most 1e21 Mbps, so a utilization is at most 1e21 / 1e-3 =
+# 1e24, and so is a formula's util leaf. A flow's path is simple, so it has
+# fewer than 1e5 links (MAX_NODES), and the delay sums of a plan's flows are
+# at most 1e5 * 1e5 * 1e9 = 1e19 ms. A tick's excess is at most the sum of
+# every flow's demand over every link of its path, 1e21 * 1e5 = 1e26 Mbps,
+# and over 1e5 ticks (scenario.MAX_TICKS) the loss sums stay within 1e31.
+# All of them are far below the float limit, about 1.8e308.
+MIN_MBPS = 1e-3
+MAX_MS = 1e9
 
 
 def _check_links(kind: str, size: int, n_links: int) -> None:

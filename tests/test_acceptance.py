@@ -28,8 +28,8 @@ from evoroute.planner import (
     lcs_distance,
     normalize,
 )
+from evoroute.scenario import load_scenario
 from evoroute.sim import (
-    load_scenario,
     run_scenario,
     write_metrics_csv,
     write_trace_csv,

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import scenario_path, tree_of_height
 
-from evoroute import cli, netmodel, sim
+from evoroute import cli, netmodel
 from evoroute.cli import main
 from evoroute.expr import format_expr
+from evoroute.loop import import_kb
+from evoroute.scenario import MAX_POPULATION, MAX_REQUESTS, MAX_TICKS, load_scenario
 
 METRICS = ("congestion_occurrences", "congestion_duration_s", "packet_loss_proxy", "planner_invocations")
 
@@ -313,7 +315,7 @@ class TestScenarioValidation:
         [
             ("full 1", "at least 2 nodes"),
             ("mnp two", "invalid literal"),
-            ("file bad.net", "bad.net:3: link 1: bandwidth must be finite and > 0, got nan"),
+            ("file bad.net", "bad.net:3: link 1: bandwidth must be finite and > 0, at least 0.001 Mbps, got nan"),
             ("file nope.net", "No such file or directory"),
             ("ring 3", "network kind 'ring'"),
         ],
@@ -510,10 +512,11 @@ class TestScenarioValidation:
 
 
 class TestSizeBounds:
-    """A line that asks for more ticks, requests or generated links than the
-    bounds allow is refused, naming it, before anything is built for it. The
-    huge values would otherwise loop or allocate without end; the others are
-    one past a bound."""
+    """A line that asks for more ticks, requests, generated links or GP
+    population than the bounds allow, or for link statics past theirs, is
+    refused, naming it, before anything is built for it. The huge values
+    would otherwise loop or allocate without end, or overflow a fitness or a
+    utilization; the others are one past a bound."""
 
     @pytest.mark.parametrize(
         "text, message",
@@ -537,9 +540,24 @@ class TestSizeBounds:
              "line 3: burst would make 100001 requests, more than the 100000 a scenario may hold"),
             ("network mnp 3\nburst 0 1 50000 2 1 30\nrequest 0 1 0 30\n",
              "line 3: request would make 100001 requests, more than the 100000 a scenario may hold"),
+            ("network mnp 3\npopulation 1000000000\nrequest 0 1 0 30\n",
+             "line 2: population must be at least 1, at most 10000, got 1000000000"),
+            ("network mnp 3\npopulation 10001\nrequest 0 1 0 30\n",
+             "line 2: population must be at least 1, at most 10000, got 10001"),
+            # the detour's delay sum overflowed, so no plan could win: three searches ran to the cap
+            ("network full 3\nlink_dl 1e308\nrequest 0 1 0 50\nrequest 0 1 1 50\nduration 4\n",
+             "line 2: link_dl must be finite and > 0, at most 1e+09 ms, got 1e308"),
+            ("network full 3\nlink_dl 1000000001\nrequest 0 1 0 30\n",
+             "line 2: link_dl must be finite and > 0, at most 1e+09 ms, got 1000000001"),
+            # the utilization overflowed, and weighing it failed with exit 2
+            ("network mnp 3\nlink_bw 1e-300\nrequest 0 1 0 1e10\nrequest 0 1 0 1e10\n",
+             "line 2: link_bw must be finite and > 0, at least 0.001 Mbps, got 1e-300"),
+            ("network mnp 3\nlink_bw 0.000999\nrequest 0 1 0 30\n",
+             "line 2: link_bw must be finite and > 0, at least 0.001 Mbps, got 0.000999"),
         ],
         ids=["duration", "duration-past", "arrival", "arrival-past", "full", "full-past", "mnp", "mnp-past",
-             "burst", "burst-past", "request-past"],
+             "burst", "burst-past", "request-past", "population", "population-past", "link_dl", "link_dl-past",
+             "link_bw", "link_bw-past"],
     )
     def test_scenario_past_a_bound_exits_one_naming_the_line(self, tmp_path, capsys, monkeypatch, text, message):
         path = tmp_path / "huge.scenario"
@@ -599,13 +617,33 @@ class TestSizeBounds:
         ids=["duration", "arrival", "full", "mnp", "burst"],
     )
     def test_scenario_at_the_bounds_loads(self, tmp_path, text, ticks, requests, links):
-        assert (sim.MAX_TICKS, sim.MAX_REQUESTS, netmodel.MAX_LINKS) == (100000, 100000, 100000)
+        assert (MAX_TICKS, MAX_REQUESTS, netmodel.MAX_LINKS) == (100000, 100000, 100000)
         path = tmp_path / "edge.scenario"
         path.write_text(text)
-        scenario = sim.load_scenario(str(path))
+        scenario = load_scenario(str(path))
         assert (scenario.resolved_duration(), len(scenario.requests), len(scenario.network.links)) == (
             ticks, requests, links
         )
+
+    def test_population_and_link_statics_at_their_bounds_load(self, tmp_path):
+        assert (MAX_POPULATION, netmodel.MIN_MBPS, netmodel.MAX_MS) == (10000, 1e-3, 1e9)
+        path = tmp_path / "edge.scenario"
+        path.write_text("network mnp 3\npopulation 10000\nlink_bw 0.001\nlink_dl 1e9\nrequest 0 1 0 30\n")
+        scenario = load_scenario(str(path))
+        assert scenario.gp.population_size == MAX_POPULATION
+        assert set(scenario.network.bws) == {netmodel.MIN_MBPS} and set(scenario.network.dls) == {netmodel.MAX_MS}
+
+    def test_link_dl_at_its_bound_lets_the_detour_win(self, tmp_path):
+        # the scenario whose link_dl 1e308 is refused above: at the bound the
+        # detour's delay sum stays finite, and the first plan clears the congestion
+        path = tmp_path / "slow.scenario"
+        path.write_text("network full 3\nlink_dl 1e9\nrequest 0 1 0 50\nrequest 0 1 1 50\nduration 4\n")
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+        (row,) = read_csv(out / "metrics.csv")
+        assert (row["congestion_duration_s"], row["planner_invocations"]) == ("1", "1")
+        (plan,) = read_csv(out / "invocations.csv")
+        assert (plan["generations"], float(plan["best_fitness"]) < 2.0) == ("0", True)
 
 
 class TestTransfer:
@@ -861,13 +899,13 @@ class TestCompare:
 
     def test_kb_is_read_once_and_warms_only_the_reuse_runs(self, tmp_path, mnp3_kb, monkeypatch):
         imports = []
-        real = sim.import_kb
+        real = import_kb
 
         def counting(*args, **kwargs):
             imports.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(sim, "import_kb", counting)
+        monkeypatch.setattr("evoroute.scenario.import_kb", counting)
         out = tmp_path / "cmp"
         seeds = range(1, 4)  # on seed 3 the warm run's metrics differ from the cold one's
         args = ["--routers", "genadapt,genadapt-reuse", "--seeds", "1-3", "--kb", str(mnp3_kb)]

@@ -13,7 +13,9 @@ from evoroute.netmodel import (
     Flow,
     InputError,
     MAX_MBPS,
+    MAX_MS,
     MAX_NODES,
+    MIN_MBPS,
     Link,
     Network,
     NetworkError,
@@ -102,6 +104,22 @@ class TestBasics:
         with pytest.raises(NetworkError, match="must be finite and > 0"):
             Link(0, 0, 1, bw, dl)
 
+    @pytest.mark.parametrize(
+        "bw, dl, message",
+        [
+            (0.999e-3, 25.0, "link 0: bandwidth must be finite and > 0, at least 0.001 Mbps, got 0.000999"),
+            (1e-300, 25.0, "link 0: bandwidth must be finite and > 0, at least 0.001 Mbps, got 1e-300"),
+            (100.0, 1.001e9, "link 0: delay must be finite and > 0, at most 1e+09 ms, got 1001000000.0"),
+            (100.0, 1e308, "link 0: delay must be finite and > 0, at most 1e+09 ms, got 1e+308"),
+        ],
+    )
+    def test_link_statics_past_their_bounds_are_refused(self, bw, dl, message):
+        assert (MIN_MBPS, MAX_MS) == (1e-3, 1e9)
+        with pytest.raises(NetworkError, match=f"^{re.escape(message)}$"):
+            Link(0, 0, 1, bw, dl)
+        at_bounds = Link(0, 0, 1, MIN_MBPS, MAX_MS)
+        assert (at_bounds.bw, at_bounds.dl) == (MIN_MBPS, MAX_MS)
+
     def test_request_invariants(self):
         with pytest.raises(NetworkError):
             Request.constant(0, 2, 2, 0.0, 30)
@@ -144,8 +162,8 @@ class TestBasics:
         "build, message",
         [
             (lambda: Link._make((0, 1, 1, 100.0, 25.0)), "link 0: self-loop on node 1"),
-            (lambda: LINK._replace(bw=0.0), "link 0: bandwidth must be finite and > 0, got 0.0"),
-            (lambda: LINK._replace(dl=nan), "link 0: delay must be finite and > 0, got nan"),
+            (lambda: LINK._replace(bw=0.0), "link 0: bandwidth must be finite and > 0, at least 0.001 Mbps, got 0.0"),
+            (lambda: LINK._replace(dl=nan), "link 0: delay must be finite and > 0, at most 1e+09 ms, got nan"),
             (lambda: REQUEST._replace(profile=()), "request 0: empty bandwidth profile"),
             (
                 lambda: REQUEST._replace(profile=((0.0, 30.0), (5.0, 2 * MAX_MBPS))),

@@ -25,7 +25,8 @@ from conftest import SCENARIO_DIR, scenario_path
 from evoroute.cli import main
 from evoroute.expr import format_expr
 from evoroute.loop import export_kb, import_kb
-from evoroute.sim import ROUTERS, load_scenario, run_scenario, write_metrics_csv, write_trace_csv
+from evoroute.scenario import ROUTERS, load_scenario
+from evoroute.sim import run_scenario, write_metrics_csv, write_trace_csv
 
 TABLE = os.path.join(os.path.dirname(__file__), "outputs.json")
 SCENARIOS = sorted(name[: -len(".scenario")] for name in os.listdir(SCENARIO_DIR) if name.endswith(".scenario"))

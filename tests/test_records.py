@@ -13,7 +13,8 @@ import pytest
 import evoroute
 from evoroute.netmodel import Flow, Link, Request, mnp_topology
 from evoroute.planner import GpConfig
-from evoroute.sim import MetricsRecord, Scenario, TickRow
+from evoroute.scenario import Scenario
+from evoroute.sim import MetricsRecord, TickRow
 
 
 def test_flow_is_the_only_dataclass():

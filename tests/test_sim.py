@@ -9,7 +9,7 @@ from conftest import EXAMPLE_FORMULA, dense_throughputs, scenario_path
 
 from evoroute import sim
 from evoroute.expr import parse_expr
-from evoroute.loop import AdaptationState, adapt_step
+from evoroute.loop import AdaptationState, adapt_step, import_kb
 from evoroute.netmodel import (
     Link,
     Network,
@@ -23,13 +23,11 @@ from evoroute.netmodel import (
     unit_weights,
 )
 from evoroute.planner import GpConfig, Individual, formula_weigher, link_inputs, link_weights
+from evoroute.scenario import ROUTERS, SCENARIO_KEYS, Scenario, ScenarioError, load_scenario
 from evoroute.sim import (
     MetricsRecord,
-    Scenario,
-    ScenarioError,
     TickRow,
     inverse_bw_weights,
-    load_scenario,
     packet_loss_proxy,
     route_request,
     run_scenario,
@@ -463,13 +461,13 @@ class TestKnowledgeBaseFile:
         with open(scenario_path("mnp5_2")) as fh:
             path.write_text(fh.read() + "kb kb.txt\n")
         imports = []
-        real = sim.import_kb
+        real = import_kb
 
         def counting(*args, **kwargs):
             imports.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(sim, "import_kb", counting)
+        monkeypatch.setattr("evoroute.scenario.import_kb", counting)
         scenario = load_scenario(str(path))
         assert imports == [(str(kb_file),)]
         assert scenario.kb == (
@@ -570,7 +568,7 @@ _TOKENS = st.one_of(
     st.integers(-3, 40).map(str),
     st.floats(-0.5, 1.5).map(repr),
     st.floats(-1e3, 1e3).map(repr),
-    st.sampled_from(["nan", "inf", "-inf", "1e400", "abc", *sim.ROUTERS]),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "abc", *ROUTERS]),
     st.just("warm.kb"),  # a kb file beside the scenario
 )
 # one value is the legal count, so it is drawn as often as any other count
@@ -595,15 +593,15 @@ class TestSingleValueDirectives:
         return base
 
     def test_one_table_reads_all_fourteen(self):
-        assert set(sim.SCENARIO_KEYS) == {
+        assert set(SCENARIO_KEYS) == {
             "link_bw", "link_dl", "threshold", "duration", "router", "seed", "kb",
             "population", "max_generations", "crossover_rate", "mutation_rate",
             "tournament", "max_depth", "early_stop",
         }
 
-    @pytest.mark.parametrize("key", sorted(sim.SCENARIO_KEYS))
+    @pytest.mark.parametrize("key", sorted(SCENARIO_KEYS))
     def test_sets_its_field_or_names_its_line(self, scenario_dir, key):
-        owner, name, conv, _, _ = sim.SCENARIO_KEYS[key]
+        owner, name, conv, _, _ = SCENARIO_KEYS[key]
         path = scenario_dir / f"{key}.scenario"
 
         # a legal value for every directive, so each one's success branch is taken
@@ -623,7 +621,7 @@ class TestSingleValueDirectives:
             assert len(tokens) == 1
             expected = conv(tokens[0])
             if key == "kb":
-                expected = tuple(sim.import_kb(str(scenario_dir / expected), scenario.gp.max_depth))
+                expected = tuple(import_kb(str(scenario_dir / expected), scenario.gp.max_depth))
             assert _field_value(scenario, owner, name) == expected
 
         check()
