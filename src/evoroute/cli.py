@@ -5,9 +5,19 @@ import argparse
 import os
 import sys
 
-from .loop import KbImportError, export_kb, import_kb
-from .netmodel import TOPOLOGIES, ConfigError, InputError, NetworkError, save_network
-from .scenario import ROUTERS, ScenarioError, check_kb, load_scenario, with_kb
+from .netmodel import TOPOLOGIES, ConfigError, NetworkError
+from .scenario import (
+    ROUTERS,
+    InputError,
+    KbImportError,
+    ScenarioError,
+    check_kb,
+    export_kb,
+    import_kb,
+    load_scenario,
+    save_network,
+    with_kb,
+)
 from .sim import (
     METRICS_COLUMNS,
     MetricsRecord,

@@ -1,19 +1,15 @@
 """The periodic adaptation loop: congestion detection, planner invocation,
 and the knowledge base of retained formulas reused across rounds and
-exportable to other networks."""
+exportable to other networks (``scenario`` reads and writes its files)."""
 
 import time
 from collections.abc import Mapping, Sequence
 from random import Random
 from typing import NamedTuple
 
-from .expr import DEFAULT_MAX_DEPTH, format_expr, parse_expr
-from .netmodel import Network, Snapshot, read_lines
+from .expr import format_expr
+from .netmodel import Network, Snapshot
 from .planner import GpConfig, Individual, PlanResult, gen_plan
-
-
-class KbImportError(ValueError):
-    pass
 
 
 class InvocationRecord(NamedTuple):
@@ -76,34 +72,3 @@ def adapt_step(
     )
     state.retained = result.retained
     return result
-
-
-def export_kb(retained: Sequence[Individual], path: str) -> None:
-    """Write one `<fitness> <formula>` line per retained individual."""
-    if not retained:
-        raise KbImportError("refusing to export an empty knowledge base")
-    with open(path, "w") as fh:
-        for ind in retained:
-            fitness = ind.fitness if ind.fitness is not None else 0.0
-            fh.write(f"{fitness:.6f} {format_expr(ind.expr)}\n")
-
-
-def import_kb(path: str, max_depth: int = DEFAULT_MAX_DEPTH) -> list[Individual]:
-    """Read a formula file; every formula is re-validated by ``parse_expr``
-    against the grammar and ``max_depth``, and fitness is treated as
-    unevaluated. A bad line is refused naming its number."""
-    retained: list[Individual] = []
-    for lineno, line in read_lines(path):
-        parts = line.split(maxsplit=1)
-        if len(parts) != 2:
-            raise KbImportError(f"line {lineno}: expected '<fitness> <formula>'")
-        try:
-            float(parts[0])
-        except ValueError:
-            raise KbImportError(f"line {lineno}: bad fitness value {parts[0]!r}") from None
-        try:
-            expr = parse_expr(parts[1], max_depth)
-        except ValueError as exc:
-            raise KbImportError(f"line {lineno}: {exc}") from None
-        retained.append(Individual(expr, None))
-    return retained

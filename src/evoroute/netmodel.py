@@ -2,29 +2,31 @@
 
 Everything here is an immutable value: networks, links, requests, flows and
 snapshots never change after construction, and all operations are pure
-functions. Link weights are positive integers supplied by the caller, as a
+functions; none opens a file (``scenario`` reads and writes network files).
+Link weights are positive integers supplied by the caller, as a
 ``Weights`` value that carries its floor.
 """
 
 import heapq
 import math
 from collections import Counter
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 
 class NetworkError(ValueError):
-    """Structurally invalid network, flow or routing input."""
+    """Structurally invalid network, flow or routing input. ``link`` is the
+    index of the link at fault when ``Network`` refuses one of its links."""
+
+    def __init__(self, message: str, link: int | None = None):
+        super().__init__(message)
+        self.link = link
 
 
 class ConfigError(ValueError):
     """Invalid topology-generator or scenario configuration."""
-
-
-class InputError(ValueError):
-    """An input file line that is not UTF-8 text."""
 
 
 class _LinkFields(NamedTuple):
@@ -140,11 +142,11 @@ class Network:
         seen_pairs = set()
         for i, link in enumerate(self.links):
             if link.id != i:
-                raise NetworkError(f"link ids must be dense 0..L-1, got {link.id} at index {i}")
+                raise NetworkError(f"link ids must be dense 0..L-1, got {link.id} at index {i}", i)
             if not (0 <= link.src < n_nodes and 0 <= link.dst < n_nodes):
-                raise NetworkError(f"link {link.id}: endpoint outside 0..{n_nodes - 1}")
+                raise NetworkError(f"link {link.id}: endpoint outside 0..{n_nodes - 1}", i)
             if (link.src, link.dst) in seen_pairs:
-                raise NetworkError(f"duplicate link for node pair {link.src}->{link.dst}")
+                raise NetworkError(f"duplicate link for node pair {link.src}->{link.dst}", i)
             seen_pairs.add((link.src, link.dst))
         self.bws: tuple[float, ...] = tuple(link.bw for link in self.links)
         self.dls: tuple[float, ...] = tuple(link.dl for link in self.links)
@@ -427,58 +429,3 @@ TOPOLOGIES = {"full": full_topology, "mnp": mnp_topology}
 
 def unit_weights(network: Network) -> Weights:
     return check_weights(network, [1] * len(network.links))
-
-
-def save_network(network: Network, path: str) -> None:
-    """Write the plain-text edge-list format used by scenario files."""
-    with open(path, "w") as fh:
-        fh.write(f"nodes {network.n_nodes}\n")
-        for link in network.links:
-            fh.write(f"link {link.id} {link.src} {link.dst} {link.bw:.6f} {link.dl:.6f}\n")
-
-
-def read_lines(path: str) -> Iterator[tuple[int, str]]:
-    """Each line of an input file that holds more than a comment, as (line
-    number, text); in every format a comment runs from ``#`` to the line's end.
-
-    Files are read as UTF-8 whatever the locale. A line with a byte that is
-    not UTF-8, in a comment too, is refused (``InputError``) naming
-    ``path:line``.
-    """
-    # an undecodable byte b reads as the lone surrogate U+DC00 + b, which
-    # no UTF-8 text holds, so encoding the line back finds it
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                byte = ord(raw[exc.start]) - 0xDC00
-                raise InputError(f"{path}:{lineno}: byte 0x{byte:02x} is not UTF-8") from None
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                yield lineno, text
-
-
-def load_network(path: str) -> Network:
-    n_nodes = nodes_line = None
-    links: list[Link] = []
-    for lineno, line in read_lines(path):
-        parts = line.split()
-        try:
-            if parts[0] == "nodes" and len(parts) == 2:
-                if nodes_line is not None:
-                    raise NetworkError(f"nodes already set on line {nodes_line}")
-                n_nodes, nodes_line = int(parts[1]), lineno
-                if n_nodes > MAX_NODES:
-                    raise NetworkError(f"nodes must be at most {MAX_NODES}, got {n_nodes}")
-            elif parts[0] == "link" and len(parts) == 6:
-                links.append(
-                    Link(int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]), float(parts[5]))
-                )
-            else:
-                raise NetworkError(f"unrecognized line {line!r}")
-        except ValueError as exc:  # NetworkError included
-            raise NetworkError(f"{path}:{lineno}: {exc}") from None
-    if n_nodes is None:
-        raise NetworkError(f"{path}: missing 'nodes' header")
-    return Network(n_nodes, links)

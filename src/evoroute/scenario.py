@@ -1,16 +1,17 @@
-"""The scenario file format: what a scenario holds, the directives that set
-it, the bounds a file is held to, and the knowledge-base rule of which run
-reads formulas. Everything that reads or rules on a scenario file is here;
-``sim`` runs the scenarios it yields."""
+"""The input file formats: a scenario and the files it names. What a
+scenario holds, the directives that set it, the bounds a file is held to,
+and the knowledge-base rule of which run reads formulas; the network and
+knowledge-base files, read and written; and the line rules all three share
+(``read_lines``). Every reader and writer of an input file is here; ``sim``
+runs the scenarios it yields."""
 
 import math
 import os
-from collections.abc import Collection
+from collections.abc import Collection, Iterator, Sequence
 from typing import NamedTuple
 
-from .expr import DEFAULT_MAX_DEPTH
-from .loop import KbImportError, import_kb
-from .netmodel import MAX_MS, MIN_MBPS, TOPOLOGIES, InputError, Network, Request, load_network, read_lines
+from .expr import DEFAULT_MAX_DEPTH, format_expr, parse_expr
+from .netmodel import MAX_MS, MAX_NODES, MIN_MBPS, TOPOLOGIES, Link, Network, NetworkError, Request
 from .planner import GpConfig, Individual
 
 ROUTERS = ("unit-ospf", "inverse-bw-ospf", "genadapt", "genadapt-reuse")
@@ -18,6 +19,108 @@ ROUTERS = ("unit-ospf", "inverse-bw-ospf", "genadapt", "genadapt-reuse")
 
 class ScenarioError(ValueError):
     pass
+
+
+class InputError(ValueError):
+    """An input file line that is not UTF-8 text."""
+
+
+class KbImportError(ValueError):
+    pass
+
+
+def read_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Each line of an input file that holds more than a comment, as (line
+    number, text); in every format a comment runs from ``#`` to the line's end.
+
+    Files are read as UTF-8 whatever the locale. A line with a byte that is
+    not UTF-8, in a comment too, is refused (``InputError``) naming
+    ``path:line``.
+    """
+    # an undecodable byte b reads as the lone surrogate U+DC00 + b, which
+    # no UTF-8 text holds, so encoding the line back finds it
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(raw[exc.start]) - 0xDC00
+                raise InputError(f"{path}:{lineno}: byte 0x{byte:02x} is not UTF-8") from None
+            text = raw.split("#", 1)[0].strip()
+            if text:
+                yield lineno, text
+
+
+def load_network(path: str) -> Network:
+    n_nodes = nodes_line = None
+    links: list[Link] = []
+    link_lines: list[int] = []  # per link, the line that holds it
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        try:
+            if parts[0] == "nodes" and len(parts) == 2:
+                if nodes_line is not None:
+                    raise NetworkError(f"nodes already set on line {nodes_line}")
+                n_nodes, nodes_line = int(parts[1]), lineno
+                if n_nodes > MAX_NODES:
+                    raise NetworkError(f"nodes must be at most {MAX_NODES}, got {n_nodes}")
+            elif parts[0] == "link" and len(parts) == 6:
+                links.append(
+                    Link(int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]), float(parts[5]))
+                )
+                link_lines.append(lineno)
+            else:
+                raise NetworkError(f"unrecognized line {line!r}")
+        except ValueError as exc:  # NetworkError included
+            raise NetworkError(f"{path}:{lineno}: {exc}") from None
+    if n_nodes is None:
+        raise NetworkError(f"{path}: missing 'nodes' header")
+    try:
+        return Network(n_nodes, links)
+    except NetworkError as exc:  # name the line of the link at fault, else the nodes line
+        lineno = nodes_line if exc.link is None else link_lines[exc.link]
+        raise NetworkError(f"{path}:{lineno}: {exc}") from None
+
+
+def save_network(network: Network, path: str) -> None:
+    """Write the plain-text edge-list format used by scenario files. Each
+    static is written as its ``repr``, the shortest text that reads back as
+    the same float, so ``load_network`` gives back the same links."""
+    with open(path, "w") as fh:
+        fh.write(f"nodes {network.n_nodes}\n")
+        for link in network.links:
+            fh.write(f"link {link.id} {link.src} {link.dst} {link.bw!r} {link.dl!r}\n")
+
+
+def export_kb(retained: Sequence[Individual], path: str) -> None:
+    """Write one `<fitness> <formula>` line per retained individual."""
+    if not retained:
+        raise KbImportError("refusing to export an empty knowledge base")
+    with open(path, "w") as fh:
+        for ind in retained:
+            fitness = ind.fitness if ind.fitness is not None else 0.0
+            fh.write(f"{fitness:.6f} {format_expr(ind.expr)}\n")
+
+
+def import_kb(path: str, max_depth: int = DEFAULT_MAX_DEPTH) -> list[Individual]:
+    """Read a formula file; every formula is re-validated by ``parse_expr``
+    against the grammar and ``max_depth``, and fitness is treated as
+    unevaluated. A bad line is refused naming its number."""
+    retained: list[Individual] = []
+    for lineno, line in read_lines(path):
+        parts = line.split(maxsplit=1)
+        if len(parts) != 2:
+            raise KbImportError(f"line {lineno}: expected '<fitness> <formula>'")
+        try:
+            float(parts[0])
+        except ValueError:
+            raise KbImportError(f"line {lineno}: bad fitness value {parts[0]!r}") from None
+        try:
+            expr = parse_expr(parts[1], max_depth)
+        except ValueError as exc:
+            raise KbImportError(f"line {lineno}: {exc}") from None
+        retained.append(Individual(expr, None))
+    return retained
 
 
 class Scenario(NamedTuple):

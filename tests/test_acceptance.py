@@ -18,7 +18,6 @@ from test_netmodel import brute_force_shortest
 from test_planner import lcs_oracle
 
 from evoroute.expr import EvalContext, eval_expr, parse_expr, to_weight
-from evoroute.loop import export_kb, import_kb
 from evoroute.netmodel import Flow, Link, Network, full_topology, link_utilizations
 from evoroute.planner import (
     GpConfig,
@@ -28,7 +27,7 @@ from evoroute.planner import (
     lcs_distance,
     normalize,
 )
-from evoroute.scenario import load_scenario
+from evoroute.scenario import export_kb, import_kb, load_scenario
 from evoroute.sim import (
     run_scenario,
     write_metrics_csv,

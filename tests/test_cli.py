@@ -13,8 +13,7 @@ from conftest import scenario_path, tree_of_height
 from evoroute import cli, netmodel
 from evoroute.cli import main
 from evoroute.expr import format_expr
-from evoroute.loop import import_kb
-from evoroute.scenario import MAX_POPULATION, MAX_REQUESTS, MAX_TICKS, load_scenario
+from evoroute.scenario import MAX_POPULATION, MAX_REQUESTS, MAX_TICKS, import_kb, load_network, load_scenario
 
 METRICS = ("congestion_occurrences", "congestion_duration_s", "packet_loss_proxy", "planner_invocations")
 
@@ -989,19 +988,25 @@ class TestGenTopology:
         out = tmp_path / "net.txt"
         assert main(["gen-topology", "--kind", "full", "--size", "5", "--out", str(out)]) == 0
         assert "20 links" in capsys.readouterr().out
-        from evoroute.netmodel import load_network
-
         net = load_network(str(out))
         assert (net.n_nodes, len(net.links)) == (5, 20)
 
     def test_mnp_is_bidirectional(self, tmp_path):
         out = tmp_path / "net.txt"
         assert main(["gen-topology", "--kind", "mnp", "--size", "3", "--out", str(out)]) == 0
-        from evoroute.netmodel import load_network
-
         net = load_network(str(out))
         pairs = {(l.src, l.dst) for l in net.links}
         assert all((d, s) in pairs for s, d in pairs)
+
+    def test_statics_are_written_exactly_and_a_tiny_delay_runs(self, tmp_path):
+        out = tmp_path / "net.txt"
+        args = ["--kind", "full", "--size", "3", "--out", str(out), "--bw", "123.4567891", "--dl", "1e-7"]
+        assert main(["gen-topology", *args]) == 0
+        net = load_network(str(out))
+        assert (set(net.bws), set(net.dls)) == ({123.4567891}, {1e-7})
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text("network file net.txt\nrequest 0 1 0 30\n")
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 0
 
     def test_too_small_is_validation_error(self, tmp_path, capsys):
         code = main(

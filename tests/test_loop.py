@@ -3,16 +3,10 @@ import random
 import pytest
 
 from evoroute.expr import BinOp, Var, format_expr
-from evoroute.loop import (
-    AdaptationState,
-    KbImportError,
-    adapt_step,
-    detect,
-    export_kb,
-    import_kb,
-)
+from evoroute.loop import AdaptationState, adapt_step, detect
 from evoroute.netmodel import Flow, Snapshot, link_utilizations, make_snapshot, mnp_topology
 from evoroute.planner import GpConfig, Individual, gen_plan
+from evoroute.scenario import KbImportError, export_kb, import_kb
 
 
 @pytest.fixture

@@ -4,14 +4,13 @@ import re
 from math import inf, nan
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import throughput
 from evoroute.netmodel import (
     ConfigError,
     Flow,
-    InputError,
     MAX_MBPS,
     MAX_MS,
     MAX_NODES,
@@ -25,14 +24,12 @@ from evoroute.netmodel import (
     full_topology,
     link_throughputs,
     link_utilizations,
-    load_network,
     make_snapshot,
     mnp_topology,
-    read_lines,
-    save_network,
     shortest_weighted_path,
     unit_weights,
 )
+from evoroute.scenario import InputError, load_network, read_lines, save_network
 
 
 LINK = Link(0, 0, 1, 100.0, 25.0)
@@ -497,13 +494,23 @@ class TestTopologies:
 
 
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        net = mnp_topology(4, bw=80.0, dl=12.5)
-        path = str(tmp_path / "net.txt")
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(MIN_MBPS, allow_infinity=False), st.floats(0.0, MAX_MS, exclude_min=True)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @example([(MIN_MBPS, MAX_MS), (123.4567891, 1e-7), (80.0, 5e-324)])
+    def test_round_trip(self, tmp_path_factory, statics):
+        """Any valid statics, the bounds and tiny delays among them, load
+        back as the same floats."""
+        net = Network(len(statics) + 1, [Link(i, i, i + 1, bw, dl) for i, (bw, dl) in enumerate(statics)])
+        path = str(tmp_path_factory.getbasetemp() / "round_trip.txt")
         save_network(net, path)
         loaded = load_network(path)
-        assert loaded.n_nodes == net.n_nodes
-        assert loaded.links == net.links
+        assert (loaded.n_nodes, loaded.links) == (net.n_nodes, net.links)
 
     def test_bad_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -511,11 +518,36 @@ class TestSerialization:
         with pytest.raises(NetworkError, match="2"):
             load_network(str(path))
 
-    @pytest.mark.parametrize("line", ["nodes two", "link 1 0 1 100.0 nan", "link 1 0 1 100.0 x", "nodes 3"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "nodes two",
+            "link 1 0 1 100.0 nan",
+            "link 1 0 1 100.0 x",
+            "nodes 3",
+            # structural faults, which Network finds once every line is read
+            "link 1 0 2 100.0 25.0",  # an endpoint outside the nodes
+            "link 1 1 0 100.0 25.0",  # a second link 1->0
+            "link 2 0 1 100.0 25.0",  # a link id out of order
+        ],
+    )
     def test_bad_value_names_the_line(self, tmp_path, line):
         path = tmp_path / "bad.txt"
         path.write_text(f"nodes 2\nlink 0 1 0 100.0 25.0\n{line}\n")
         with pytest.raises(NetworkError, match="bad.txt:3: "):
+            load_network(str(path))
+
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            ("link 0 0 5 100.0 25.0\nnodes 2\n", ":1: link 0: endpoint outside 0..1"),
+            ("link 0 0 1 100.0 25.0\nnodes 0\n", ":2: network needs at least one node"),
+        ],
+    )
+    def test_a_nodes_line_after_the_links_is_checked_against_them(self, tmp_path, text, where):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(NetworkError, match=f"^{re.escape(str(path) + where)}$"):
             load_network(str(path))
 
     def test_trailing_comments_load(self, tmp_path):

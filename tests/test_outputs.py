@@ -24,8 +24,7 @@ from conftest import SCENARIO_DIR, scenario_path
 
 from evoroute.cli import main
 from evoroute.expr import format_expr
-from evoroute.loop import export_kb, import_kb
-from evoroute.scenario import ROUTERS, load_scenario
+from evoroute.scenario import ROUTERS, export_kb, import_kb, load_scenario
 from evoroute.sim import run_scenario, write_metrics_csv, write_trace_csv
 
 TABLE = os.path.join(os.path.dirname(__file__), "outputs.json")

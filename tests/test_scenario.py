@@ -4,10 +4,10 @@ The generator writes only text that ``load_scenario`` accepts: a topology
 (``full``, ``mnp``, or a ``network file`` written by ``save_network``),
 requests and bursts with constant or piecewise profiles, GP lines inside
 ``SCENARIO_KEYS``' ranges, and a router, with a ``kb`` line for
-``genadapt-reuse``. Link statics and demands are drawn up to the bounds
-(``netmodel.MIN_MBPS``, ``MAX_MS``, ``MAX_MBPS``), where a fitness or a
-utilization overflowed before they were bounded. Generations and populations
-stay small, so that each property runs in a few seconds.
+``genadapt-reuse``. Link statics are drawn from their whole valid ranges
+(``netmodel.MIN_MBPS``, ``MAX_MS``) and demands up to ``MAX_MBPS``, where a
+fitness or a utilization overflowed before they were bounded. Generations
+and populations stay small, so that each property runs in a few seconds.
 """
 
 import contextlib
@@ -29,16 +29,14 @@ from evoroute.netmodel import (
     TOPOLOGIES,
     Network,
     Request,
-    save_network,
 )
 from evoroute.planner import GpConfig, evaluate_plan
-from evoroute.scenario import ROUTERS, Scenario, load_scenario
+from evoroute.scenario import ROUTERS, Scenario, load_scenario, save_network
 from evoroute.sim import run_scenario
 
-# statics and demands, the bounds among them; each is written exactly by
-# save_network's six decimals
-_BWS = (MIN_MBPS, 0.5, 60.0, 100.0, 150.0)
-_DLS = (0.5, 5.0, 25.0, MAX_MS)
+# link statics from the whole ranges Link accepts, and demands with the bounds among them
+_BW = st.floats(MIN_MBPS, allow_infinity=False)
+_DL = st.floats(0.0, MAX_MS, exclude_min=True)
 _DEMANDS = (0.0, 0.5, 30.0, 90.0, MAX_MBPS)
 _TIMES = st.integers(0, 24).map(lambda q: q / 4)  # quarter ticks: on and off the tick grid
 # a knowledge base whose formulas fit every max_depth
@@ -63,18 +61,16 @@ def scenario_parts(draw):
     size = draw(st.integers(2, 4))
     network = TOPOLOGIES[generated](size)
     if kind == "file":  # the generated graph, each link with statics of its own
-        links = [
-            link._replace(bw=draw(st.sampled_from(_BWS)), dl=draw(st.sampled_from(_DLS))) for link in network.links
-        ]
+        links = [link._replace(bw=draw(_BW), dl=draw(_DL)) for link in network.links]
         network = Network(network.n_nodes, links)
         lines.append("network file net.txt")
         net_file = network
     else:
         lines.append(f"network {generated} {size}")
         if draw(st.booleans()):
-            lines.append(f"link_bw {draw(st.sampled_from(_BWS))!r}")
+            lines.append(f"link_bw {draw(_BW)!r}")
         if draw(st.booleans()):
-            lines.append(f"link_dl {draw(st.sampled_from(_DLS))!r}")
+            lines.append(f"link_dl {draw(_DL)!r}")
     # every node reaches every other: full is complete, and mnp's edges run both ways
     pairs = [(s, d) for s in range(network.n_nodes) for d in range(network.n_nodes) if s != d]
 

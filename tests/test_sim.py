@@ -9,7 +9,7 @@ from conftest import EXAMPLE_FORMULA, dense_throughputs, scenario_path
 
 from evoroute import sim
 from evoroute.expr import parse_expr
-from evoroute.loop import AdaptationState, adapt_step, import_kb
+from evoroute.loop import AdaptationState, adapt_step
 from evoroute.netmodel import (
     Link,
     Network,
@@ -23,7 +23,7 @@ from evoroute.netmodel import (
     unit_weights,
 )
 from evoroute.planner import GpConfig, Individual, formula_weigher, link_inputs, link_weights
-from evoroute.scenario import ROUTERS, SCENARIO_KEYS, Scenario, ScenarioError, load_scenario
+from evoroute.scenario import ROUTERS, SCENARIO_KEYS, Scenario, ScenarioError, import_kb, load_scenario, save_network
 from evoroute.sim import (
     MetricsRecord,
     TickRow,
@@ -554,8 +554,6 @@ class TestScenarioFiles:
         assert req.bd(0) == 30.0 and req.bd(45) == 50.0
 
     def test_network_from_file(self, tmp_path):
-        from evoroute.netmodel import save_network
-
         save_network(mnp_topology(3), str(tmp_path / "net.txt"))
         path = tmp_path / "s.scenario"
         path.write_text("network file net.txt\nrequest 0 1 0 30\n")
