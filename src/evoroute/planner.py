@@ -134,6 +134,7 @@ class LinkInputs(NamedTuple):
     util: Mapping[int, float]  # per loaded link id; an absent link is idle
     inputs: list[tuple[float, float, float]]  # the distinct (bw, dl, util) triples
     of: list[int]  # per link id, its index into inputs
+    one_class: bool  # every link not in util has inputs[0], the one idle input
 
 
 def link_inputs(network: Network, util: Mapping[int, float]) -> LinkInputs:
@@ -143,7 +144,8 @@ def link_inputs(network: Network, util: Mapping[int, float]) -> LinkInputs:
     of its static (bw, dl) class at utilization 0.0, and visits the loaded
     links only. Once there are as many loaded links as the smallest class
     has links, a class may have no idle link left, and an input that no
-    link has must not be weighed: then every link is grouped afresh.
+    link has must not be weighed: then every link is grouped afresh. A
+    template of one class is marked ``one_class``, for ``spread``.
     """
     classes = network.link_classes
     bws, dls = network.bws, network.dls
@@ -153,13 +155,15 @@ def link_inputs(network: Network, util: Mapping[int, float]) -> LinkInputs:
             loads[e] = u
         index: dict[tuple[float, float, float], int] = {}  # input -> its position
         of = [index.setdefault(key, len(index)) for key in zip(bws, dls, loads)]
+        one_class = False
     else:
         idle, class_of, _ = classes
         index = idle.copy()  # class c's idle input is at position c
         of = list(class_of)
         for e, u in util.items():
             of[e] = index.setdefault((bws[e], dls[e], u), len(index))
-    return LinkInputs(util, list(index), of)
+        one_class = len(idle) == 1
+    return LinkInputs(util, list(index), of, one_class)
 
 
 def link_weights(table: LinkInputs, weigh: Weigher) -> Weights:
@@ -173,9 +177,16 @@ def spread(table: LinkInputs, by_input: Sequence[int]) -> Weights:
     The values are a fresh list indexed by link id. The floor is the
     smallest weight over the distinct inputs, which is the smallest link
     weight, since some link has each input. The weights must be integers
-    >= 1, as ``formula_weigher`` gives.
+    >= 1, as ``formula_weigher`` gives. On a ``one_class`` table the list
+    is filled with the idle weight and only the loaded links are visited.
     """
-    return Weights([by_input[i] for i in table.of], min(by_input) if by_input else 0)
+    lo = min(by_input) if by_input else 0
+    if not table.one_class:
+        return Weights([by_input[i] for i in table.of], lo)
+    values, of = [by_input[0]] * len(table.of), table.of
+    for e in table.util:
+        values[e] = by_input[of[e]]
+    return Weights(values, lo)
 
 
 def reweigh(
@@ -225,8 +236,10 @@ def compute_surrogate(
     if path is None:
         path = shortest_weighted_path(network, weights, *network.path_endpoints(bad_flows[0].path))
         routes[by_input] = path
-    util = dict(keep.util)
     rerouted = [Flow(bad_flows[0].request, path)]
+    if len(bad_flows) == 1:
+        return rerouted
+    util = dict(keep.util)
     for placed, f in zip(bad_flows, bad_flows[1:]):
         bd = bandwidths[placed.request]
         for e in path:

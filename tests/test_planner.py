@@ -454,8 +454,9 @@ def weighted_networks(draw):
     """A complete graph whose links are uniform, drawn from a few (bw, dl)
     classes, or each drawn apart; utilizations are 0 or drawn from a few
     values, so that inputs repeat, none of them 0 (every class fully
-    loaded), or all drawn apart."""
-    n = draw(st.integers(min_value=2, max_value=6))
+    loaded), all but one link's nonzero, or all drawn apart. One node
+    makes a network without links."""
+    n = draw(st.integers(min_value=1, max_value=6))
     n_links = n * (n - 1)
     kind = draw(st.sampled_from(["uniform", "classes", "heterogeneous"]))
     if kind == "uniform":
@@ -468,24 +469,41 @@ def weighted_networks(draw):
         statics = draw(st.lists(st.tuples(value, value), min_size=n_links, max_size=n_links))
     pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
     net = Network(n, [Link(i, s, d, bw, dl) for i, ((s, d), (bw, dl)) in enumerate(zip(pairs, statics))])
-    loads = draw(st.sampled_from(["idle", "repeated", "loaded", "distinct"]))
+    loads = draw(st.sampled_from(["idle", "repeated", "loaded", "all but one", "distinct"]))
     if loads == "idle":
         util = [0.0] * n_links
     elif loads in ("repeated", "loaded"):
         levels = [0.3, 0.9, 1.5] if loads == "loaded" else [0.0, 0.3, 0.9, 1.5]
         util = draw(st.lists(st.sampled_from(levels), min_size=n_links, max_size=n_links))
+    elif loads == "all but one":
+        util = draw(st.lists(st.sampled_from([0.3, 0.9, 1.5]), min_size=n_links, max_size=n_links))
+        if util:
+            util[draw(st.integers(0, n_links - 1))] = 0.0
     else:
         util = draw(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=n_links, max_size=n_links))
     return net, util
 
 
+def load_map(util, idle):
+    """The utilization map of ``util``: every loaded link, plus every idle
+    link at 0.0 ("all"), none ("none") or the first ("first")."""
+    first = util.index(0.0) if 0.0 in util else None
+    return {e: u for e, u in enumerate(util) if u or idle == "all" or (idle == "first" and e == first)}
+
+
 class TestLinkWeights:
     @settings(max_examples=300, deadline=None)
-    @given(weighted_networks(), st.integers(min_value=0, max_value=10**9), st.integers(1, 6), st.booleans())
-    def test_equals_per_link_evaluation(self, net_util, seed, max_depth, drop_idle):
+    @given(
+        weighted_networks(),
+        st.integers(min_value=0, max_value=10**9),
+        st.integers(1, 6),
+        st.sampled_from(["all", "none", "first"]),
+    )
+    def test_equals_per_link_evaluation(self, net_util, seed, max_depth, idle):
+        # on a one-class network, a map one entry short of every link keeps
+        # the idle template, and a full one is grouped afresh
         net, util = net_util
-        # the map holds every link, or only the links above 0.0
-        loaded = {e: u for e, u in enumerate(util) if u or not drop_idle}
+        loaded = load_map(util, idle)
         expr = grow_random(max_depth, random.Random(seed))
         weigh = formula_weigher(expr, 0.8)
         weighed = []
@@ -494,7 +512,9 @@ class TestLinkWeights:
             weighed.append(key)
             return weigh(*key)
 
-        got = link_weights(link_inputs(net, loaded), recording)
+        table = link_inputs(net, loaded)
+        assert table.one_class == (len(net.link_classes[0]) == 1 and len(loaded) < len(net.links))
+        got = link_weights(table, recording)
         assert got.values == reference_weights(net, util, expr, 0.8)
         assert all(type(w) is int for w in got.values)
         assert got.lo == min(got.values, default=0)
@@ -519,7 +539,22 @@ class TestLinkWeights:
         weigh = formula_weigher(grow_random(max_depth, random.Random(seed)), 0.8)
         got = reweigh(net, link_weights(link_inputs(net, before), weigh), links, after, weigh)
         assert got.values == link_weights(link_inputs(net, after), weigh).values
-        assert 1 <= got.lo <= min(got.values)
+        assert 1 <= got.lo <= min(got.values) if got.values else got.lo == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_networks(), st.integers(min_value=0, max_value=10**9), st.sampled_from(["all", "none", "first"]))
+    def test_each_weighing_is_a_fresh_list(self, net_util, seed, idle):
+        # reweigh writes into the values it is given, so two weighings of
+        # one table must not share a list
+        net, util = net_util
+        table = link_inputs(net, load_map(util, idle))
+        weigh = formula_weigher(grow_random(4, random.Random(seed)), 0.8)
+        first, second = link_weights(table, weigh), link_weights(table, weigh)
+        assert first.values is not second.values
+        before = list(second.values)
+        for e in range(len(first.values)):
+            first.values[e] += 1
+        assert second.values == before
 
     def test_one_evaluation_per_distinct_input(self, example_expr, monkeypatch):
         inputs = []
